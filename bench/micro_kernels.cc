@@ -11,33 +11,25 @@
  * element is fixed (one add per index per lane), so the sweep shows
  * how bucket-working-set size moves the scatter, not the flops. Tile
  * kernels run at their tier's seqTile width (8 generic/avx2, 16
- * avx512); each result row stamps that width, and bench_diff refuses
- * to compare rows whose widths differ.
- *
- * Results go to BENCH_kernels.json (or --out PATH); the committed
- * baseline lives in bench/baseline/BENCH_kernels.json. Schema is in
- * EXPERIMENTS.md. Tier-to-tier speedup here is the microscopic view
- * of the micro_forward end-to-end win.
+ * avx512), printed on each row. Tier-to-tier speedup here is the
+ * microscopic view of the end-to-end numbers perfbench/ measures.
  *
  * When hardware counters are available (obs/pmu.hh; GOBO_PMU governs
- * the backend) every timed loop is additionally bracketed with PMU
- * samples and the JSON gains a `pmu` roofline block: DRAM bytes/s
- * actually measured from LLC misses vs. the wall-clock GB/s of
- * operands *streamed through the kernel*, plus arithmetic intensity
- * (flops per missed byte) and IPC. The block is machine-dependent by
- * construction and never gated — bench_diff.py skips it by design.
+ * the counter source) every timed loop is additionally bracketed with PMU
+ * samples and a roofline table follows: DRAM bytes/s actually
+ * measured from LLC misses vs. the wall-clock GB/s of operands
+ * *streamed through the kernel*, plus arithmetic intensity (flops per
+ * missed byte) and IPC. It is machine-dependent by construction.
  *
- * Flags: --seed N, --fast (fewer repetitions), --out PATH.
+ * Flags: --seed N, --fast (fewer repetitions).
  */
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hh"
 #include "kernels/kernels.hh"
 #include "obs/pmu.hh"
 #include "util/rng.hh"
@@ -48,10 +40,35 @@ using namespace gobo;
 
 namespace {
 
-using Result = benchjson::KernelResult;
+/** One timed kernel on one tier. */
+struct Result
+{
+    std::string kernel;
+    std::string tier;
+    unsigned bits = 0; ///< 0 for kernels without a bit width.
+    std::size_t n = 0;
+    std::size_t seqTile = 0;
+    double gbPerSec = 0.0;
+    double gflopPerSec = 0.0;
+};
+
+/** Counter-derived roofline point for one Result. */
+struct Roofline
+{
+    Result result;
+    double measuredGbPerSec = 0.0; ///< LLC-miss bytes / wall time.
+    double arithmeticIntensity = 0.0; ///< flops per missed byte.
+    double ipc = 0.0;
+};
 
 /** Consumed by every timing loop so the kernel calls stay live. */
 volatile double g_sink = 0.0;
+
+void
+sink(double v)
+{
+    g_sink = g_sink + v;
+}
 
 double
 timeDot(const KernelSet &kn, const std::vector<float> &a,
@@ -64,7 +81,7 @@ timeDot(const KernelSet &kn, const std::vector<float> &a,
     for (std::size_t r = 0; r < reps; ++r)
         acc = kn.dot(acc * 1e-30f, a.data(), b.data(), n);
     double secs = timer.seconds();
-    g_sink += acc;
+    sink(acc);
     return secs;
 }
 
@@ -78,7 +95,7 @@ timeAxpy(const KernelSet &kn, const std::vector<float> &x,
     for (std::size_t r = 0; r < reps; ++r)
         kn.axpy(1e-30f, x.data(), y.data(), n);
     double secs = timer.seconds();
-    g_sink += y[0];
+    sink(y[0]);
     return secs;
 }
 
@@ -93,7 +110,7 @@ timeBucket(const KernelSet &kn, const std::vector<std::uint8_t> &irow,
     for (std::size_t r = 0; r < reps; ++r)
         kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(), k);
     double secs = timer.seconds();
-    g_sink += bucket[0];
+    sink(bucket[0]);
     return secs;
 }
 
@@ -109,7 +126,7 @@ timeDecode(const KernelSet &kn, const std::vector<std::uint8_t> &packed,
         kn.decodePackedRow(packed.data(), packed.size(), 0, bits, n,
                            out.data());
     double secs = timer.seconds();
-    g_sink += out[0];
+    sink(out[0]);
     return secs;
 }
 
@@ -120,18 +137,15 @@ main(int argc, char **argv)
 {
     std::uint64_t seed = 42;
     std::size_t reps = 40000;
-    std::string out = "BENCH_kernels.json";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--seed" && i + 1 < argc) {
             seed = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--fast") {
             reps = 4000;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--seed N] [--fast] [--out PATH]\n",
+                         "usage: %s [--seed N] [--fast]\n",
                          argv[0]);
             return 2;
         }
@@ -170,18 +184,16 @@ main(int argc, char **argv)
     // untouched either way: sampling happens strictly outside them, so
     // wall-clock results are identical with PMU on, off, or absent.
     PmuRegistry pmu;
-    std::vector<benchjson::KernelRoofline> roofline;
+    std::vector<Result> results;
+    std::vector<Roofline> roofline;
     const double line = static_cast<double>(pmuCacheLineBytes());
     auto addRoofline = [&](const Result &r, const PmuSample &delta,
                            double secs, double flops) {
         if (!delta.valid)
             return;
         double missBytes = static_cast<double>(delta.llcMisses) * line;
-        benchjson::KernelRoofline roof;
-        roof.kernel = r.kernel;
-        roof.tier = r.tier;
-        roof.bits = r.bits;
-        roof.wallGbPerSec = r.gbPerSec;
+        Roofline roof;
+        roof.result = r;
         roof.measuredGbPerSec = secs > 0 ? missBytes / secs / 1e9 : 0.0;
         roof.arithmeticIntensity =
             missBytes > 0 ? flops / missBytes : 0.0;
@@ -192,7 +204,6 @@ main(int argc, char **argv)
         roofline.push_back(std::move(roof));
     };
 
-    std::vector<Result> results;
     for (const KernelSet *t : tiers) {
         const KernelSet &kn = *t;
         {
@@ -290,13 +301,14 @@ main(int argc, char **argv)
     if (!roofline.empty()) {
         std::printf("\nRoofline (hardware counters, %s backend, "
                     "%zu-byte lines; machine-dependent, ungated):\n",
-                    pmu.backendName(), pmuCacheLineBytes());
+                    pmu.sourceName(), pmuCacheLineBytes());
         ConsoleTable roof({"Kernel", "Tier", "B", "Wall GB/s",
                            "DRAM GB/s", "Flop/DRAM-byte", "IPC"});
         for (const auto &r : roofline)
-            roof.addRow({r.kernel, r.tier,
-                         r.bits ? std::to_string(r.bits) : "-",
-                         ConsoleTable::num(r.wallGbPerSec, 2),
+            roof.addRow({r.result.kernel, r.result.tier,
+                         r.result.bits ? std::to_string(r.result.bits)
+                                       : "-",
+                         ConsoleTable::num(r.result.gbPerSec, 2),
                          ConsoleTable::num(r.measuredGbPerSec, 2),
                          ConsoleTable::num(r.arithmeticIntensity, 1),
                          ConsoleTable::num(r.ipc, 2)});
@@ -305,19 +317,5 @@ main(int argc, char **argv)
         std::printf("\n(no roofline: hardware counters unavailable)\n");
     }
 
-    benchjson::KernelsDoc doc;
-    doc.seqTile = kSeqTile;
-    doc.results = results;
-    doc.pmuAvailable = pmu.available();
-    doc.pmuBackend = pmu.backendName();
-    doc.cacheLineBytes = pmuCacheLineBytes();
-    doc.roofline = std::move(roofline);
-
-    std::ofstream json(out);
-    if (json) {
-        benchjson::writeKernelsJson(doc, json);
-        json.close();
-        std::printf("\nwrote %s\n", out.c_str());
-    }
     return 0;
 }

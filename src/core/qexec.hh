@@ -91,8 +91,8 @@ class QuantizedLinear
      * hot path never allocates, and a worker that owns several tile
      * blocks of one row block decodes that block once. Every y(s, o)
      * is produced by exactly one grid cell and keeps the serial
-     * bucket/table/correction order (per lane, in double), so backends,
-     * weight formats, kernel tiers AND thread counts are all
+     * bucket/table/correction order (per lane, in double), so weight
+     * formats, kernel tiers AND thread counts are all
      * bit-identical here. When `counts` is non-null the operations
      * actually performed are accumulated into it (each task counts
      * locally, tasks are summed in index order).

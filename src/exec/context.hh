@@ -4,9 +4,9 @@
  *
  * Every compute routine that can parallelize (tensor ops, the encoder,
  * compressed-domain execution, the batched InferenceSession) takes an
- * ExecContext and dispatches through it: Backend::Serial runs inline,
- * Backend::Parallel drains row blocks on the shared ThreadPool. The
- * two backends are bit-identical by construction — the context only
+ * ExecContext and dispatches through it: at one thread loops run
+ * inline, at more they drain row blocks on the shared ThreadPool. Every
+ * thread count is bit-identical by construction — the context only
  * decides which thread computes a slot, never the reduction order
  * inside it — so tests can assert exact equality between them.
  */
@@ -24,20 +24,6 @@ namespace gobo {
 
 class Observer;   // obs/observer.hh; contexts only carry the pointer.
 struct KernelSet; // kernels/kernels.hh; contexts only carry the pointer.
-
-/** How compute loops execute. */
-enum class Backend
-{
-    Serial,   ///< inline on the calling thread.
-    Parallel, ///< row blocks drained on the thread pool.
-};
-
-/** Printable backend name. */
-inline const char *
-backendName(Backend b)
-{
-    return b == Backend::Serial ? "serial" : "parallel";
-}
 
 /**
  * How a compressed-domain engine holds its weight indexes at runtime.
@@ -63,26 +49,18 @@ weightFormatName(WeightFormat f)
 }
 
 /**
- * The execution environment a forward pass runs in: a backend, a
- * parallelism budget, and the pool that provides the workers. Cheap
- * to copy; default-constructed it is the serial backend, so existing
+ * The execution environment a forward pass runs in: a parallelism
+ * budget and the pool that provides the workers. Cheap to copy;
+ * default-constructed it runs one thread inline, so existing
  * single-threaded call sites keep their exact behaviour.
  */
 struct ExecContext
 {
-    Backend backend = Backend::Serial;
-    /** Max threads a loop may use (including the calling thread). */
+    /** Max threads a loop may use (including the calling thread); 1
+     * runs every loop inline on the calling thread. */
     std::size_t threads = 1;
     /** Pool to draw workers from; nullptr means ThreadPool::shared(). */
     ThreadPool *pool = nullptr;
-    /**
-     * Weight format compressed-domain engines built under this context
-     * should use. Construction-time preference: call sites that
-     * quantize a model for this context (CLI, benches, sessions) read
-     * it when building the QuantizedBertModel; it does not reformat an
-     * engine that already exists.
-     */
-    WeightFormat weightFormat = WeightFormat::Unpacked;
     /**
      * Observability sink for spans and counters (obs/observer.hh);
      * null (the default) disables instrumentation at the cost of one
@@ -119,7 +97,7 @@ struct ExecContext
      */
     std::size_t grainFlops = 0;
 
-    /** The serial context (the default). */
+    /** The one-thread context (the default). */
     static ExecContext
     serial()
     {
@@ -127,24 +105,21 @@ struct ExecContext
     }
 
     /**
-     * A parallel context with `threads` workers (0 means
-     * defaultThreads(), which honours GOBO_THREADS).
+     * A context with `threads` workers (0 means defaultThreads(),
+     * which honours GOBO_THREADS); parallel(1) equals serial().
      */
     static ExecContext
     parallel(std::size_t threads = 0)
     {
         ExecContext ctx;
-        ctx.backend = Backend::Parallel;
         ctx.threads = threads == 0 ? defaultThreads() : threads;
-        if (ctx.threads <= 1)
-            ctx.backend = Backend::Serial;
         return ctx;
     }
 
     bool
     isParallel() const
     {
-        return backend == Backend::Parallel && threads > 1;
+        return threads > 1;
     }
 
     /**

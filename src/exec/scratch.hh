@@ -33,8 +33,8 @@
  * single-use behavior. Owners are identified by a process-unique id
  * (never a pointer, which could be reused after a layer is
  * destroyed), so a new layer can never alias a dead one's slots.
- * Cache capacity is charged to the run's resident footprint
- * (model/footprint.hh), keeping the compression story honest.
+ * Cache capacity (threads x budget) is process memory, not weight
+ * state: residentWeightBytes() does not include it.
  */
 
 #ifndef GOBO_EXEC_SCRATCH_HH

@@ -11,10 +11,10 @@
  * worker deques, so when sequence lengths are skewed the threads that
  * finish short sequences steal tile tasks from the long ones instead
  * of idling. Composition only moves work between threads, so batch
- * results stay bit-identical to one-at-a-time calls (and to the
- * serial backend) — the determinism contract DESIGN.md §12 documents.
- * The CLI `infer` command, the examples, and bench/micro_forward all
- * drive inference through this class instead of ad-hoc encoder calls.
+ * results stay bit-identical to one-at-a-time calls (and to one
+ * thread) — the determinism contract DESIGN.md §12 documents. The CLI
+ * `infer`/`serve` commands, the examples, and perfbench/ all drive
+ * inference through this class instead of ad-hoc encoder calls.
  */
 
 #ifndef GOBO_EXEC_SESSION_HH
@@ -79,7 +79,7 @@ class InferenceSession
 
     const ExecContext &context() const { return ctx; }
 
-    /** Rebind the execution context (e.g. to switch backends). */
+    /** Rebind the execution context (e.g. to change thread count). */
     void setContext(ExecContext c) { ctx = c; }
 
     /**

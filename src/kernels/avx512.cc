@@ -40,7 +40,17 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__) \
     && defined(__AVX512DQ__) && defined(__AVX512VL__)
 
+// GCC 12 flags the intrinsics' deliberate `__Y = __Y` undefined
+// operands as uninitialized wherever they inline; silence only those.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include <cmath>
 #include <limits>

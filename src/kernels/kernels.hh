@@ -26,7 +26,7 @@
  * optional per-context override for tests and tools; a null pointer
  * means the process-wide active tier.
  *
- * Determinism contract (DESIGN.md §11): Serial/Parallel backends and
+ * Determinism contract (DESIGN.md §11): thread counts and
  * Packed/Unpacked formats are bit-identical *within* a tier; across
  * tiers, quantized FC outputs are bit-identical while dense ops carry
  * tolerance-level differences. The sequence tile width is a per-tier

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "exec/scratch.hh"
-
 namespace gobo {
 
 Footprint
@@ -45,12 +43,6 @@ packedResidentBytes(std::size_t elements, unsigned bits,
 {
     return (elements * bits + 7) / 8
            + tableAndOutlierBytes(centroid_count, outlier_count);
-}
-
-std::size_t
-decodeCacheResidentBytes(std::size_t threads)
-{
-    return threads * decodeCacheBudgetBytes();
 }
 
 double

@@ -52,17 +52,6 @@ std::size_t packedResidentBytes(std::size_t elements, unsigned bits,
                                 std::size_t centroid_count,
                                 std::size_t outlier_count);
 
-/**
- * Decoded-row cache capacity charged to a Packed run's resident
- * footprint: one per-arena budget (exec/scratch.hh,
- * GOBO_DECODE_CACHE_KB) per executing thread, since every thread that
- * touches a Packed forward owns an arena. The charge keeps the
- * compression story honest — cached decoded rows are resident bytes
- * the packed format would otherwise claim to have saved. Unpacked and
- * FP32 runs never populate the cache and charge nothing.
- */
-std::size_t decodeCacheResidentBytes(std::size_t threads);
-
 /** Bytes expressed in the paper's units (MiB, printed as "MB"). */
 double toMiB(std::size_t bytes);
 

@@ -378,6 +378,13 @@ generateModel(const ModelConfig &config, std::uint64_t seed)
     }
     fill_small(m.poolerB, 0.0, 0.02);
 
+    // A nonzero task head, so logits printed from a generated model can
+    // tell runs apart. Its own stream keeps every tensor above
+    // byte-identical to generators that left the head zero.
+    Rng head(mix64(seed ^ 0x4eadULL));
+    head.fillGaussian(m.headW.data(), 0.0, 0.02);
+    head.fillGaussian(m.headB.data(), 0.0, 0.02);
+
     return m;
 }
 

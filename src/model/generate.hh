@@ -142,8 +142,9 @@ Tensor generateWordEmbedding(const ModelConfig &config, std::uint64_t seed);
 
 /**
  * Generate a complete model (embeddings, encoders, pooler, head).
- * Biases and layer-norm parameters get small benign values; the task
- * head is resized and filled by the task setup.
+ * Biases and layer-norm parameters get small benign values. The
+ * one-output task head is a small Gaussian from its own stream; task
+ * setups resize and refill it.
  */
 BertModel generateModel(const ModelConfig &config, std::uint64_t seed);
 

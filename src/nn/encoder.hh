@@ -11,10 +11,11 @@
  * tensors, which is what makes decoded GOBO models plug-in compatible.
  *
  * Each stage takes an ExecContext: projections and norms dispatch
- * row-blocked to the backend, and multi-head attention parallelizes
- * over heads (each head owns a disjoint column slice of the context
- * tensor and its own score buffer). The context-free overloads run
- * serially; both backends are bit-identical (see DESIGN.md §7).
+ * row-blocked across the context's threads, and multi-head attention
+ * parallelizes over heads (each head owns a disjoint column slice of
+ * the context tensor and its own score buffer). The context-free
+ * overloads run serially; every thread count is bit-identical (see
+ * DESIGN.md §7).
  */
 
 #ifndef GOBO_NN_ENCODER_HH

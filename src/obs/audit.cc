@@ -207,7 +207,6 @@ auditModel(const BertModel &model, const AuditOptions &options)
         qobs.pmu = options.pmu;
     {
         ExecContext ctx = ExecContext::serial();
-        ctx.weightFormat = options.quant.format;
         ctx.obs = &qobs;
         InferenceSession session(std::move(qmodel), ctx);
         for (const auto &seq : batch)
@@ -249,7 +248,7 @@ auditModel(const BertModel &model, const AuditOptions &options)
     // real misses too, but the model has no byte claim about them.
     if (pmu_on) {
         report.pmuAvailable = true;
-        report.pmuBackend = options.pmu->backendName();
+        report.pmuBackend = options.pmu->sourceName();
         report.pmuCacheLineBytes = pmuCacheLineBytes();
         auto pmu_spans = summarizePmuSpans(qobs.tracer);
         for (const auto &t : report.traffic) {

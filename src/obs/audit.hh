@@ -90,7 +90,7 @@ struct AuditOptions
      * null (the default) or an unavailable backend skips the pillar
      * without touching the other three. The caller owns the registry
      * (gobo audit --pmu passes the process-default one; tests inject
-     * a FakePmuBackend).
+     * a FakePmuSource).
      */
     PmuRegistry *pmu = nullptr;
 };

@@ -151,13 +151,14 @@ printMetrics(const MetricsSnapshot &snap, std::ostream &os)
         // Quantiles clamp at the last finite bound, so once a
         // meaningful share of samples overflowed they are only lower
         // bounds — mark them instead of printing a misleading p99.
-        const char *lb = h.quantilesAreLowerBounds() ? ">=" : "";
+        auto quantile = [&](double q) {
+            std::string cell = h.quantilesAreLowerBounds() ? ">=" : "";
+            return cell += ConsoleTable::num(h.quantile(q), 1);
+        };
         hists.addRow({h.name, std::to_string(h.count),
                       std::to_string(h.overflow()),
-                      ConsoleTable::num(h.mean(), 1),
-                      lb + ConsoleTable::num(h.quantile(0.50), 1),
-                      lb + ConsoleTable::num(h.quantile(0.90), 1),
-                      lb + ConsoleTable::num(h.quantile(0.99), 1)});
+                      ConsoleTable::num(h.mean(), 1), quantile(0.50),
+                      quantile(0.90), quantile(0.99)});
     }
     if (hists.rowCount() > 0)
         hists.print(os);

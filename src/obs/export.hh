@@ -7,8 +7,8 @@
  * MetricsSnapshot (counters + p50/p90/p99 latency tables via
  * util/table), and machine-readable metrics JSON. Plus two folds:
  * thread-pool telemetry into snapshot counters, and per-name span
- * summaries (count/total/mean) out of a trace — what
- * bench/micro_forward records per layer.
+ * summaries (count/total/mean) out of a trace — what `gobo infer
+ * --metrics` prints per layer.
  */
 
 #ifndef GOBO_OBS_EXPORT_HH

@@ -11,7 +11,7 @@
  *
  * Determinism contract: observers only *read* timestamps and *count*
  * events around compute; they never participate in float arithmetic or
- * alter scheduling, so Serial/Parallel and Packed/Unpacked outputs
+ * alter scheduling, so 1-vs-N-thread and Packed/Unpacked outputs
  * stay bit-identical with observability on (asserted in
  * tests/test_obs.cc).
  */

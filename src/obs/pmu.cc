@@ -16,7 +16,7 @@
 namespace gobo {
 
 // ---------------------------------------------------------------------------
-// LinuxPmuBackend
+// LinuxPmuSource
 
 #ifdef __linux__
 
@@ -59,7 +59,7 @@ struct GroupReading
 } // namespace
 
 int
-LinuxPmuBackend::openGroup(long tid)
+LinuxPmuSource::openGroup(long tid)
 {
     perf_event_attr attr;
     std::memset(&attr, 0, sizeof(attr));
@@ -95,7 +95,7 @@ LinuxPmuBackend::openGroup(long tid)
 }
 
 PmuSample
-LinuxPmuBackend::readGroup(int handle)
+LinuxPmuSource::readGroup(int handle)
 {
     PmuSample sample;
     if (handle < 0)
@@ -125,7 +125,7 @@ LinuxPmuBackend::readGroup(int handle)
 }
 
 void
-LinuxPmuBackend::closeGroup(int handle)
+LinuxPmuSource::closeGroup(int handle)
 {
     if (handle < 0)
         return;
@@ -144,29 +144,29 @@ LinuxPmuBackend::closeGroup(int handle)
 #else // !__linux__
 
 int
-LinuxPmuBackend::openGroup(long)
+LinuxPmuSource::openGroup(long)
 {
     return -1;
 }
 
 PmuSample
-LinuxPmuBackend::readGroup(int)
+LinuxPmuSource::readGroup(int)
 {
     return {};
 }
 
 void
-LinuxPmuBackend::closeGroup(int)
+LinuxPmuSource::closeGroup(int)
 {
 }
 
 #endif // __linux__
 
 // ---------------------------------------------------------------------------
-// FakePmuBackend
+// FakePmuSource
 
 int
-FakePmuBackend::openGroup(long)
+FakePmuSource::openGroup(long)
 {
     std::lock_guard lock(mutex);
     for (std::size_t i = 0; i < open.size(); ++i) {
@@ -182,7 +182,7 @@ FakePmuBackend::openGroup(long)
 }
 
 PmuSample
-FakePmuBackend::readGroup(int handle)
+FakePmuSource::readGroup(int handle)
 {
     PmuSample sample;
     std::lock_guard lock(mutex);
@@ -200,7 +200,7 @@ FakePmuBackend::readGroup(int handle)
 }
 
 void
-FakePmuBackend::closeGroup(int handle)
+FakePmuSource::closeGroup(int handle)
 {
     std::lock_guard lock(mutex);
     if (handle >= 0 && static_cast<std::size_t>(handle) < open.size())
@@ -210,7 +210,7 @@ FakePmuBackend::closeGroup(int handle)
 // ---------------------------------------------------------------------------
 // PmuGroup
 
-PmuGroup::PmuGroup(PmuBackend &backend_, long tid) : backend(&backend_)
+PmuGroup::PmuGroup(PmuSource &backend_, long tid) : backend(&backend_)
 {
     handle = backend->openGroup(tid);
 }
@@ -273,22 +273,22 @@ pmuMode()
     return mode;
 }
 
-PmuBackend *
-defaultPmuBackend()
+PmuSource *
+defaultPmuSource()
 {
     // Probed exactly once per process; concurrent first calls are
     // serialized by the magic-static guard.
-    static PmuBackend *const backend = []() -> PmuBackend * {
+    static PmuSource *const backend = []() -> PmuSource * {
         switch (pmuMode()) {
         case PmuMode::Off:
             return nullptr;
         case PmuMode::Fake:
-            static FakePmuBackend fake;
+            static FakePmuSource fake;
             return &fake;
         case PmuMode::Probe:
             break;
         }
-        static LinuxPmuBackend linux_backend;
+        static LinuxPmuSource linux_backend;
         int probe = linux_backend.openGroup(0);
         if (probe < 0) {
             std::fprintf(stderr,
@@ -415,12 +415,12 @@ struct PmuRegistry::Impl
     }
 };
 
-PmuRegistry::PmuRegistry() : backend(defaultPmuBackend())
+PmuRegistry::PmuRegistry() : backend(defaultPmuSource())
 {
     impl = std::make_unique<Impl>();
 }
 
-PmuRegistry::PmuRegistry(PmuBackend &backend_) : backend(&backend_)
+PmuRegistry::PmuRegistry(PmuSource &backend_) : backend(&backend_)
 {
     impl = std::make_unique<Impl>();
 }
@@ -475,7 +475,7 @@ PmuRegistry::snapshot() const
 {
     PmuSnapshot snap;
     snap.available = backend != nullptr;
-    snap.backend = backendName();
+    snap.backend = sourceName();
     snap.cacheLineBytes = pmuCacheLineBytes();
     snap.elapsedSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

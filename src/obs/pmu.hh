@@ -12,8 +12,8 @@
  * backend cycles) opened for one thread and read with a single read()
  * via PERF_FORMAT_GROUP, so the five counts are one coherent sample.
  *
- * The backend is pluggable: LinuxPmuBackend wraps perf_event_open,
- * and FakePmuBackend produces deterministic synthetic counts for
+ * The backend is pluggable: LinuxPmuSource wraps perf_event_open,
+ * and FakePmuSource produces deterministic synthetic counts for
  * tests and for hosts where the kernel denies access. Availability is
  * probed exactly once per process (perf_event_paranoid commonly
  * forbids counters inside containers); on denial the whole layer
@@ -71,10 +71,10 @@ struct PmuSample
  * call from multiple threads: the registry opens one group per
  * observed thread and reads them concurrently.
  */
-class PmuBackend
+class PmuSource
 {
   public:
-    virtual ~PmuBackend() = default;
+    virtual ~PmuSource() = default;
 
     /** Human-readable backend name ("linux-perf", "fake", "off"). */
     virtual const char *name() const = 0;
@@ -98,7 +98,7 @@ class PmuBackend
  * elsewhere). Counter values are scaled by time_enabled/time_running,
  * so multiplexed groups still report usable estimates.
  */
-class LinuxPmuBackend final : public PmuBackend
+class LinuxPmuSource final : public PmuSource
 {
   public:
     const char *name() const override { return "linux-perf"; }
@@ -122,7 +122,7 @@ class LinuxPmuBackend final : public PmuBackend
  * instructions 1500, LLC references 100, misses 10, stalled 200)
  * give finite, non-trivial derived metrics: IPC 1.5, miss ratio 0.1.
  */
-class FakePmuBackend final : public PmuBackend
+class FakePmuSource final : public PmuSource
 {
   public:
     const char *name() const override { return "fake"; }
@@ -142,7 +142,7 @@ class PmuGroup
   public:
     PmuGroup() = default;
     /** Open for `tid` (0 = calling thread) on `backend`. */
-    PmuGroup(PmuBackend &backend, long tid);
+    PmuGroup(PmuSource &backend, long tid);
     ~PmuGroup();
 
     PmuGroup(const PmuGroup &) = delete;
@@ -156,7 +156,7 @@ class PmuGroup
     PmuSample sample() const;
 
   private:
-    PmuBackend *backend = nullptr;
+    PmuSource *backend = nullptr;
     int handle = -1;
 };
 
@@ -185,7 +185,7 @@ PmuMode pmuMode();
  * note is printed and nullptr is cached), the fake backend under
  * GOBO_PMU=fake, nullptr under GOBO_PMU=off or when unavailable.
  */
-PmuBackend *defaultPmuBackend();
+PmuSource *defaultPmuSource();
 
 /** The cache-line size miss counts are multiplied by to get bytes
  * (sysconf when available, 64 otherwise). */
@@ -229,8 +229,8 @@ class PmuRegistry
   public:
     /** Registry over the process-default backend (may be null). */
     PmuRegistry();
-    /** Registry over an injected backend (tests: FakePmuBackend). */
-    explicit PmuRegistry(PmuBackend &backend);
+    /** Registry over an injected backend (tests: FakePmuSource). */
+    explicit PmuRegistry(PmuSource &backend);
     ~PmuRegistry();
 
     PmuRegistry(const PmuRegistry &) = delete;
@@ -239,7 +239,7 @@ class PmuRegistry
     /** True when the backend exists (groups may still fail to open). */
     bool available() const { return backend != nullptr; }
 
-    const char *backendName() const
+    const char *sourceName() const
     {
         return backend ? backend->name() : "off";
     }
@@ -264,7 +264,7 @@ class PmuRegistry
   private:
     struct Impl;
 
-    PmuBackend *backend = nullptr;
+    PmuSource *backend = nullptr;
     std::unique_ptr<Impl> impl;
 };
 

@@ -25,7 +25,7 @@
  *    metrics histograms use. The series is a pure function of the
  *    event stream, which for the serve layer is a pure function of
  *    (trace, options): byte-identical across machines, backends,
- *    thread counts, and weight formats, so bench_diff can gate it
+ *    thread counts, and weight formats, so a test can pin it
  *    exactly. Events may be emitted out of time order (a tile's
  *    completion is known at dispatch); build() orders them by
  *    (timestamp, emission seq), which reproduces the server's
@@ -218,7 +218,7 @@ class TimelineBuilder
 
 /**
  * Serialize the windows array as JSON (an array of window objects,
- * one per line, `indent` spaces deep). Shared by the BENCH_serve.json
+ * one per line, `indent` spaces deep). Shared by the serve report's
  * `timeline` block and the standalone gobo-timeline-v1 document so
  * the two can never drift. NaN quantiles become null.
  */

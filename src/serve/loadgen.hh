@@ -10,8 +10,8 @@
  * correctly rounded everywhere, so the same spec produces the same
  * trace byte for byte on every platform. That is what makes a
  * 100k-request soak a replayable CI scenario rather than a demo: the
- * committed BENCH_serve.json baseline can gate shed counts and
- * response checksums exactly.
+ * serve golden in tests/test_serve.cc pins shed counts and the
+ * response checksum exactly.
  *
  * The spec grammar is strict (parseTraceSpec): unknown keys, trailing
  * junk, or out-of-range values are rejected, never guessed at.
@@ -154,7 +154,7 @@ struct TraceSpec
 std::optional<TraceSpec> parseTraceSpec(std::string_view text);
 
 /** Canonical spec string (parses back to the same spec); stamped into
- * BENCH_serve.json so diffs can refuse cross-scenario comparisons. */
+ * the serve reports so a reader knows which scenario produced them. */
 std::string traceSpecString(const TraceSpec &spec);
 
 /**

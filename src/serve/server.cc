@@ -410,11 +410,10 @@ jstamp(std::uint64_t tUs)
 
 /**
  * The admission-options object, shared by writeServeJson and
- * writeTimelineJson. One writer on purpose: bench_diff refuses to
- * compare reports whose options differ, so every knob that shapes the
+ * writeTimelineJson. One writer on purpose: every knob that shapes the
  * deterministic outcome — including the timeline window and recorder
- * capacities — must appear here or a changed knob would slip past the
- * scenario-mismatch refusal.
+ * capacities — appears in both reports, so two reports can only be
+ * compared when their options blocks agree.
  */
 void
 writeOptionsJson(const ServeOptions &opt, std::ostream &os)
@@ -454,7 +453,6 @@ writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
     std::snprintf(hex, sizeof hex, "0x%016llx",
                   static_cast<unsigned long long>(sum.responseChecksum));
     os << "{\n";
-    os << "  \"bench\": \"micro_serve\",\n";
     writeMetaJson(meta, os);
     os << "  \"format\": \"" << meta.format << "\",\n";
     os << "  \"options\": ";
@@ -493,8 +491,8 @@ writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
     os << "  \"tokens_served\": " << sum.tokensServed << ",\n";
     os << "  \"wall_seconds\": " << jnum(sum.wallSeconds) << ",\n";
     os << "  \"tokens_per_sec\": " << jnum(sum.tokensPerSec) << ",\n";
-    // Deterministic like the counters above: bench_diff gates every
-    // window exactly against the committed baseline.
+    // Deterministic like the counters above; the serve golden in
+    // tests/test_serve.cc pins every window.
     os << "  \"timeline\": {\"window_us\": " << sum.timeline.windowUs
        << ", \"clamped\": " << (sum.timeline.clamped ? "true" : "false")
        << ", \"windows\": ";

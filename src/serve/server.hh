@@ -151,12 +151,12 @@ struct ServeSummary
 
     /** Digest over (id, status, logits bits) of every response,
      * folded in request-id order so completion order is invisible:
-     * the replay-identity gate in BENCH_serve.json. Stable across
-     * backends, thread counts, and weight formats — but only within a
-     * kernel tier: the fp32 task head behind headLogits reassociates
-     * on AVX2 (DESIGN.md §11), so the logit bits (and this digest)
-     * differ across tiers even for quantized engines. bench_diff
-     * refuses cross-tier comparisons for exactly this reason. */
+     * the replay-identity gate the serve golden pins. Stable across
+     * thread counts and weight formats — but only within a kernel
+     * tier: the fp32 task head behind headLogits reassociates on AVX2
+     * (DESIGN.md §11), so the logit bits (and this digest) differ
+     * across tiers even for quantized engines. The golden therefore
+     * pins the generic tier. */
     std::uint64_t responseChecksum = 0;
 
     /** Windowed virtual-time series (obs/timeline.hh): deterministic
@@ -182,9 +182,9 @@ struct ServeRun
 
 /**
  * The serving loop bound to one session. The session's ExecContext
- * decides how each dispatched tile executes (backend, threads, kernel
- * tier); the server only decides *what* gets batched together and
- * when — decisions it makes in virtual time (see file comment).
+ * decides how each dispatched tile executes (threads, kernel tier);
+ * the server only decides *what* gets batched together and when —
+ * decisions it makes in virtual time (see file comment).
  */
 class ServeServer
 {
@@ -234,9 +234,9 @@ struct ServeReportMeta
 };
 
 /**
- * Write the BENCH_serve.json document: environment stamp, admission
- * options, and the summary (deterministic virtual-time fields plus the
- * machine-dependent wall-clock ones). Undefined quantiles (empty
+ * Write the serve report (`gobo serve --json`): environment stamp,
+ * admission options, and the summary (deterministic virtual-time fields
+ * plus the machine-dependent wall-clock ones). Undefined quantiles (empty
  * histograms) are emitted as JSON null; the response checksum as a hex
  * string so 64-bit exactness survives JSON number parsing.
  */
@@ -247,7 +247,7 @@ void writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
  * Write the standalone gobo-timeline-v1 document (`gobo serve
  * --timeline-out`): format marker, the same environment/options stamp
  * as writeServeJson, the windowed series, and the flight-recorder
- * tail. Window objects are byte-identical to the BENCH_serve.json
+ * tail. Window objects are byte-identical to the serve report's
  * `timeline` block (both go through writeTimelineWindows). Lifecycle
  * timestamps that never happened (kNeverUs) are emitted as null.
  */

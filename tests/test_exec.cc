@@ -1,13 +1,13 @@
 /**
  * @file
- * Bit-identity of the serial and parallel execution backends, and the
+ * Bit-identity of serial (one-thread) and parallel execution, and the
  * InferenceSession serving layer built on them.
  *
- * The determinism contract (DESIGN.md "Execution backends"): the
- * backend only chooses which thread computes an output slot, never the
- * reduction order inside it, so every op, the full encoder stack, the
- * compressed-domain engine, and batched sessions must produce
- * *bit-identical* floats on both backends. These tests assert exact
+ * The determinism contract (DESIGN.md "Execution contexts"): the
+ * thread count only chooses which thread computes an output slot,
+ * never the reduction order inside it, so every op, the full encoder
+ * stack, the compressed-domain engine, and batched sessions must
+ * produce *bit-identical* floats at any thread count. These tests assert exact
  * equality, not tolerances.
  */
 

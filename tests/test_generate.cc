@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/outliers.hh"
 #include "model/generate.hh"
@@ -198,6 +199,46 @@ TEST(GenerateModel, DeterministicEndToEnd)
     EXPECT_EQ(a.wordEmbedding.data(), b.wordEmbedding.data());
     EXPECT_EQ(a.encoders[3].interW.data(), b.encoders[3].interW.data());
     EXPECT_EQ(a.poolerB.data(), b.poolerB.data());
+}
+
+/** FNV-1a over the float bits of every tensor except the task head. */
+std::uint64_t
+bodyDigest(const BertModel &m)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto fold = [&](const Tensor &t) {
+        const auto *bytes =
+            reinterpret_cast<const unsigned char *>(t.data().data());
+        for (std::size_t i = 0; i < t.size() * sizeof(float); ++i)
+            h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    };
+    for (const auto &fc : m.fcLayers())
+        fold(*fc.weight);
+    for (const Tensor *t : {&m.wordEmbedding, &m.positionEmbedding,
+                            &m.embLnGamma, &m.embLnBeta, &m.poolerB})
+        fold(*t);
+    for (const auto &enc : m.encoders)
+        for (const Tensor *t :
+             {&enc.queryB, &enc.keyB, &enc.valueB, &enc.attnOutB,
+              &enc.attnLnGamma, &enc.attnLnBeta, &enc.interB, &enc.outB,
+              &enc.outLnGamma, &enc.outLnBeta})
+            fold(*t);
+    return h;
+}
+
+TEST(GenerateModel, HeadIsDrawnWithoutMovingOtherTensors)
+{
+    BertModel m = generateModel(miniConfig(ModelFamily::BertBase), 42);
+    // A nonzero head makes `gobo infer` logits (and every smoke that
+    // diffs them) able to differ.
+    std::size_t nonzero = 0;
+    for (float v : m.headW.flat())
+        nonzero += v != 0.0f;
+    EXPECT_GT(nonzero, m.headW.size() / 2);
+    EXPECT_NE(m.headB(0), 0.0f);
+    // The head has its own stream: every other tensor is byte-identical
+    // to the generator before the head was drawn.
+    EXPECT_EQ(bodyDigest(m), 0x8e3029654614333fULL);
 }
 
 TEST(GenerateModel, GammaSpikesOnHotChannels)

@@ -161,7 +161,7 @@ tierCtx(const KernelSet &kn)
     return ctx;
 }
 
-/** The micro_forward / golden-capture model: mini BERT-base, seed 42,
+/** The golden-capture model: mini BERT-base, seed 42,
  * 3-class head, and its fixed 13-token input. */
 struct GoldenSetup
 {
@@ -224,8 +224,9 @@ TEST(Dispatch, Avx512TierMatchesCpuidAndWidensTile)
     }
     // avx512Kernels() may be null on a supporting CPU when the *build*
     // lacks the tier, so only the one-way implication holds.
-    if (!cpuSupportsAvx512())
+    if (!cpuSupportsAvx512()) {
         EXPECT_EQ(a, nullptr);
+    }
 }
 
 TEST(Dispatch, EveryTierCarriesTileWidthAndDecode)
@@ -250,8 +251,9 @@ TEST(Dispatch, NamedLookupAndActiveOverride)
     EXPECT_EQ(&resolveKernels(nullptr), &genericKernels());
     setActiveKernels(before);
     const KernelSet *avx2 = avx2Kernels();
-    if (avx2)
+    if (avx2) {
         EXPECT_EQ(&resolveKernels(avx2), avx2);
+    }
 }
 
 // ---------------------------------------------------------------------

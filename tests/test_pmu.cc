@@ -49,7 +49,7 @@ TEST(PmuModeTest, SpecGrammar)
 
 TEST(FakePmuBackendTest, DeterministicDeltasPerHandle)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     int h = be.openGroup(0);
     ASSERT_GE(h, 0);
 
@@ -93,7 +93,7 @@ TEST(PmuSampleTest, SinceRequiresBothSamplesValid)
 
 TEST(PmuGroupTest, RaiiAndMoveTransferOwnership)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuGroup g(be, 0);
     ASSERT_TRUE(g.ok());
     EXPECT_TRUE(g.sample().valid);
@@ -111,10 +111,10 @@ TEST(PmuGroupTest, RaiiAndMoveTransferOwnership)
 
 TEST(PmuRegistryTest, FakeSnapshotHasExactDerivedMetrics)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
     ASSERT_TRUE(reg.available());
-    EXPECT_STREQ(reg.backendName(), "fake");
+    EXPECT_STREQ(reg.sourceName(), "fake");
 
     // First call opens the calling thread's group and stores the
     // baseline; subsequent reads advance the fake tick.
@@ -135,7 +135,7 @@ TEST(PmuRegistryTest, FakeSnapshotHasExactDerivedMetrics)
 
 TEST(PmuRegistryTest, AttachWorkersMonitorsEachTid)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
     reg.attachWorkers({101, 102, 0, 103}); // tid 0 = no gettid: skipped
 
@@ -159,7 +159,7 @@ TEST(PmuRegistryTest, UnavailableSnapshotNeverDividesByZero)
 
 TEST(PmuSpanTest, SpansCarryDeltasAndSummarizeByName)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
     Observer obs;
     obs.pmu = &reg;
@@ -189,7 +189,7 @@ TEST(PmuSpanTest, SpansCarryDeltasAndSummarizeByName)
 
 TEST(PmuMetricsTest, AppendPmuMetricsFoldsCountersAndGauges)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
     reg.threadSample();
     reg.threadSample();
@@ -274,7 +274,7 @@ TEST_F(PmuModelFixture, LogitsBitIdenticalWithPmuOnOrOff)
                            ExecContext::serial());
     auto expected = plain.headLogitsBatch(batch);
 
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
     for (bool parallel : {false, true}) {
         Observer obs;
@@ -299,7 +299,7 @@ TEST_F(PmuModelFixture, LogitsBitIdenticalWithPmuOnOrOff)
 
 TEST_F(PmuModelFixture, AuditPillarFourIsFinitePerLayer)
 {
-    FakePmuBackend be;
+    FakePmuSource be;
     PmuRegistry reg(be);
 
     AuditOptions opt;

@@ -313,6 +313,31 @@ TEST(QuantizedBertModelTest, PackedModelBitIdenticalToUnpacked)
               static_cast<double>(fp32) * (3.0 / 32.0 + 0.05));
 }
 
+TEST(QuantizedBertModelTest, ResidentBytesGolden)
+{
+    // Exact resident weight bytes of the mini BERT-base reference model
+    // (3-bit GOBO FCs, 4-bit embedding) in each format. Packed keeps
+    // the 3-bit stream plus the centroid tables and outliers resident:
+    // 0.09636 of the FP32 FC weights, the paper's ~10x.
+    auto cfg = miniConfig(ModelFamily::BertBase);
+    BertModel model = generateModel(cfg, 42);
+    ModelQuantOptions options;
+    options.base.bits = 3;
+    options.base.method = CentroidMethod::Gobo;
+    options.embeddingBits = 4;
+    QuantizedBertModel unpacked(model, options);
+    options.format = WeightFormat::Packed;
+    QuantizedBertModel packed(model, options);
+
+    std::size_t fp32 = cfg.fcWeightParams() * sizeof(float);
+    EXPECT_EQ(fp32, 2375680u);
+    EXPECT_EQ(unpacked.residentWeightBytes(), 600112u);
+    EXPECT_EQ(packed.residentWeightBytes(), 228912u);
+    EXPECT_NEAR(static_cast<double>(packed.residentWeightBytes())
+                    / static_cast<double>(fp32),
+                0.09636, 5e-6);
+}
+
 TEST(QuantizedBertModelTest, MixedPrecisionBitsRespected)
 {
     auto cfg = miniConfig(ModelFamily::RoBerta);

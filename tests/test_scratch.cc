@@ -238,7 +238,7 @@ TEST(DecodeCacheForward, BitIdenticalCacheOnVsOff)
     InferenceSession session(packedModel(s.model),
                              ExecContext::serial());
 
-    // Serial backend: every decode goes through this thread's arena.
+    // One thread: every decode goes through this thread's arena.
     ScratchArena &arena = execScratch();
     std::size_t restore = arena.decodeCacheBudget();
 

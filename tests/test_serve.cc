@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/qexec.hh"
 #include "exec/session.hh"
+#include "kernels/kernels.hh"
 #include "model/generate.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
@@ -49,7 +53,6 @@ makeSession(bool parallel, WeightFormat format)
     qopt.format = format;
     ExecContext ctx =
         parallel ? ExecContext::parallel(2) : ExecContext::serial();
-    ctx.weightFormat = format;
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
 }
 
@@ -293,6 +296,138 @@ TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
     EXPECT_NE(checksum, 0u);
 }
 
+/** One timeline window of the committed serve golden: counts are
+ * exact, the rates/quantiles are gated at 1e-6 relative. */
+struct GoldenWindow
+{
+    std::uint64_t arrivals, admitted, completed, shedOverload,
+        shedDeadline, batches, lanesFilled, lanesTotal, tokens;
+    double tokensPerSec, meanQueueDepth, occupancy, queueWaitP50Us,
+        queueWaitP99Us;
+};
+
+void
+expectRel(double got, double want, const char *what)
+{
+    EXPECT_NEAR(got, want, 1e-6 * std::abs(want)) << what;
+}
+
+TEST(Serve, GoldenTraceMatchesCommittedBaseline)
+{
+    // The near-saturation reference scenario: ~150 req/s of mean ~24.5
+    // tokens against the 4000 tok/s virtual server with 4x bursts, so
+    // both shed paths fire. Everything below is a pure function of
+    // (trace, options, kernel tier); the tier and tile width are pinned
+    // so the golden holds under every GOBO_KERNEL/GOBO_THREADS cell,
+    // while the thread count is left to the environment.
+    auto spec = parseTraceSpec(
+        "n=2000,seed=42,rate=150,len=1:64,long=0.25,burst=4x0.2,"
+        "period=200000");
+    ASSERT_TRUE(spec.has_value());
+    auto trace = generateTrace(*spec, testModel().config().vocabSize);
+
+    ModelQuantOptions qopt; // 3-bit GOBO FCs, 4-bit embedding
+    qopt.base.bits = 3;
+    qopt.base.method = CentroidMethod::Gobo;
+    qopt.embeddingBits = 4;
+    qopt.format = WeightFormat::Packed;
+    ExecContext ctx = ExecContext::parallel();
+    ctx.kernels = &genericKernels();
+    InferenceSession session(QuantizedBertModel(testModel(), qopt), ctx);
+
+    ServeOptions opt;
+    opt.maxQueue = 24;
+    opt.requestDeadlineUs = 150000;
+    opt.tileLanes = 8;
+    ServeServer server(session, opt);
+    const ServeSummary sum = server.runTrace(trace).summary;
+
+    EXPECT_EQ(sum.requests, 2000u);
+    EXPECT_EQ(sum.completed, 1400u);
+    EXPECT_EQ(sum.shedOverload, 483u);
+    EXPECT_EQ(sum.shedDeadline, 117u);
+    EXPECT_EQ(sum.batches, 676u);
+    EXPECT_EQ(sum.lanesFilled, 1400u);
+    EXPECT_EQ(sum.lanesTotal, 5408u);
+    EXPECT_EQ(sum.tokensServed, 34673u);
+    expectRel(sum.tileOccupancy, 0.2588757396, "tile_occupancy");
+
+    const ServeBandStats bands[] = {
+        {0, 1, 16, 528, 220, 0.3},
+        {1, 17, 32, 524, 231, 0.2835497835},
+        {2, 33, 48, 163, 108, 0.1886574074},
+        {3, 49, 64, 185, 117, 0.1976495726},
+    };
+    ASSERT_EQ(sum.bands.size(), std::size(bands));
+    for (std::size_t i = 0; i < std::size(bands); ++i) {
+        SCOPED_TRACE("band " + std::to_string(i));
+        EXPECT_EQ(sum.bands[i].band, bands[i].band);
+        EXPECT_EQ(sum.bands[i].minLen, bands[i].minLen);
+        EXPECT_EQ(sum.bands[i].maxLen, bands[i].maxLen);
+        EXPECT_EQ(sum.bands[i].requests, bands[i].requests);
+        EXPECT_EQ(sum.bands[i].batches, bands[i].batches);
+        expectRel(sum.bands[i].occupancy, bands[i].occupancy,
+                  "occupancy");
+    }
+
+    expectRel(sum.latencyP50Us, 126153.3154, "latency p50");
+    expectRel(sum.latencyP95Us, 163618.9333, "latency p95");
+    expectRel(sum.latencyP99Us, 192344.7719, "latency p99");
+    expectRel(sum.queueWaitP50Us, 109671.922, "queue wait p50");
+    expectRel(sum.queueWaitP95Us, 152452.8789, "queue wait p95");
+    expectRel(sum.queueWaitP99Us, 157282.0312, "queue wait p99");
+
+    const GoldenWindow windows[] = {
+        {221, 172, 145, 49, 4, 71, 149, 568, 3819, 3819, 20.205524,
+         0.2623239437, 107508.8369, 157211.8779},
+        {239, 171, 173, 68, 11, 83, 170, 664, 3962, 3962, 21.272903,
+         0.2560240964, 110471.2483, 157263.3969},
+        {235, 175, 152, 60, 17, 73, 152, 584, 3945, 3945, 22.565174,
+         0.2602739726, 113981.9722, 157554.4683},
+        {215, 170, 158, 45, 14, 78, 159, 624, 3920, 3920, 21.596272,
+         0.2548076923, 111143.6253, 156974.5278},
+        {232, 175, 159, 57, 5, 79, 160, 632, 3896, 3896, 21.389653,
+         0.253164557, 108029.9653, 156416.1642},
+        {198, 171, 174, 27, 7, 80, 173, 640, 3925, 3925, 18.176959,
+         0.2703125, 90321.32869, 156126.0528},
+        {245, 174, 145, 71, 19, 73, 144, 584, 3959, 3959, 24.108218,
+         0.2465753425, 122284.5641, 157750.7985},
+        {239, 179, 176, 60, 8, 83, 178, 664, 3964, 3964, 19.730345,
+         0.2680722892, 99336.54269, 156850.167},
+        {176, 130, 118, 46, 32, 56, 115, 448, 3283, 3283, 20.266193,
+         0.2566964286, 126435.8208, 157848.2493},
+    };
+    EXPECT_EQ(sum.timeline.windowUs, 1000000u);
+    EXPECT_FALSE(sum.timeline.clamped);
+    ASSERT_EQ(sum.timeline.windows.size(), std::size(windows));
+    for (std::size_t i = 0; i < std::size(windows); ++i) {
+        SCOPED_TRACE("window " + std::to_string(i));
+        const TimelineWindow &got = sum.timeline.windows[i];
+        const GoldenWindow &want = windows[i];
+        EXPECT_EQ(got.index, i);
+        EXPECT_EQ(got.startUs, i * 1000000u);
+        EXPECT_EQ(got.arrivals, want.arrivals);
+        EXPECT_EQ(got.admitted, want.admitted);
+        EXPECT_EQ(got.completed, want.completed);
+        EXPECT_EQ(got.shedOverload, want.shedOverload);
+        EXPECT_EQ(got.shedDeadline, want.shedDeadline);
+        EXPECT_EQ(got.batches, want.batches);
+        EXPECT_EQ(got.lanesFilled, want.lanesFilled);
+        EXPECT_EQ(got.lanesTotal, want.lanesTotal);
+        EXPECT_EQ(got.tokens, want.tokens);
+        expectRel(got.tokensPerSec, want.tokensPerSec, "tokens/s");
+        expectRel(got.meanQueueDepth, want.meanQueueDepth,
+                  "mean queue depth");
+        expectRel(got.occupancy, want.occupancy, "occupancy");
+        expectRel(got.queueWaitP50Us, want.queueWaitP50Us,
+                  "queue wait p50");
+        expectRel(got.queueWaitP99Us, want.queueWaitP99Us,
+                  "queue wait p99");
+    }
+
+    EXPECT_EQ(sum.responseChecksum, 0x2b9d75b6915874aeULL);
+}
+
 TEST(Serve, JsonReportIsWellFormed)
 {
     auto spec = stressSpec();
@@ -312,7 +447,7 @@ TEST(Serve, JsonReportIsWellFormed)
     std::ostringstream os;
     writeServeJson(run.summary, opt, meta, os);
     std::string json = os.str();
-    EXPECT_NE(json.find("\"bench\": \"micro_serve\""), std::string::npos);
+    EXPECT_NE(json.find("\"trace\": \"n=32,"), std::string::npos);
     EXPECT_NE(json.find("\"response_checksum\": \"0x"),
               std::string::npos);
     EXPECT_NE(json.find("\"tile_occupancy\""), std::string::npos);

@@ -200,17 +200,21 @@ TEST(ThreadPool, DeterministicIndexAddressedResults)
 TEST(ExecContext, SerialByDefaultAndParallelFactory)
 {
     ExecContext def;
-    EXPECT_EQ(def.backend, Backend::Serial);
+    EXPECT_EQ(def.threads, 1u);
     EXPECT_FALSE(def.isParallel());
+    EXPECT_EQ(ExecContext::serial().threads, 1u);
 
     auto par = ExecContext::parallel(4);
-    EXPECT_EQ(par.backend, Backend::Parallel);
     EXPECT_EQ(par.threads, 4u);
     EXPECT_TRUE(par.isParallel());
 
-    // A one-thread "parallel" context degenerates to serial.
+    // The thread count alone decides: parallel(1) is serial().
     auto one = ExecContext::parallel(1);
+    EXPECT_EQ(one.threads, 1u);
     EXPECT_FALSE(one.isParallel());
+    ExecContext two;
+    two.threads = 2;
+    EXPECT_TRUE(two.isParallel());
 }
 
 TEST(ExecContext, ParallelRowsCoversRangeExactlyOnce)

@@ -241,7 +241,6 @@ makeSession(bool parallel, WeightFormat format)
     qopt.format = format;
     ExecContext ctx =
         parallel ? ExecContext::parallel(2) : ExecContext::serial();
-    ctx.weightFormat = format;
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
 }
 

@@ -10,8 +10,7 @@
  *   gobo decompress model.gobc --out model.gobm
  *   gobo inspect   model.gobm | model.gobc
  *   gobo infer     model.gobm | model.gobc [--batch B] [--seq-len S]
- *                  [--threads N] [--backend serial|parallel]
- *                  [--kernel generic|avx2|avx512|native]
+ *                  [--threads N] [--kernel generic|avx2|avx512|native]
  *                  [--engine fp32|qexec] [--format unpacked|packed]
  *                  [--seed N] [--trace OUT.json] [--metrics]
  *                  [--metrics-json OUT.json]
@@ -20,8 +19,7 @@
  *                  [--format unpacked|packed] [--sequences N]
  *                  [--seq-len S] [--seed N] [--json OUT.json]
  *   gobo serve     model.gobm | model.gobc --trace SPEC
- *                  [--threads N] [--backend serial|parallel]
- *                  [--kernel generic|avx2|avx512|native]
+ *                  [--threads N] [--kernel generic|avx2|avx512|native]
  *                  [--engine fp32|qexec] [--format unpacked|packed]
  *                  [--max-queue N] [--flush-deadline-us N]
  *                  [--deadline-us N] [--band-width N]
@@ -39,7 +37,9 @@
  * accounting; `decompress` decodes back to a plain FP32 model any
  * engine can consume; `inspect` prints what a file contains; `infer`
  * serves a batch of random sequences through an InferenceSession on
- * the chosen execution backend and reports logits and tokens/sec.
+ * `--threads` threads (1 runs inline) and reports logits — decimal
+ * and hex-float, so a diff of two runs compares exact bits — and
+ * tokens/sec.
  * With `--trace` the run is recorded as Chrome trace-event JSON
  * (load it in chrome://tracing or ui.perfetto.dev); `--metrics`
  * prints the counter/histogram registry plus a span summary and the
@@ -114,8 +114,7 @@ usage(const char *msg = nullptr)
         "  gobo decompress IN.gobc --out OUT.gobm\n"
         "  gobo inspect   FILE\n"
         "  gobo infer     FILE [--batch B] [--seq-len S] [--threads N]\n"
-        "                 [--backend serial|parallel]"
-        " [--kernel generic|avx2|avx512|native]\n"
+        "                 [--kernel generic|avx2|avx512|native]\n"
         "                 [--engine fp32|qexec]"
         " [--format unpacked|packed] [--seed N]\n"
         "                 [--trace OUT.json] [--metrics]"
@@ -126,8 +125,7 @@ usage(const char *msg = nullptr)
         "                 [--sequences N] [--seq-len S] [--seed N]\n"
         "                 [--json OUT.json] [--pmu]\n"
         "  gobo serve     FILE --trace SPEC [--threads N]\n"
-        "                 [--backend serial|parallel]"
-        " [--kernel generic|avx2|avx512|native]\n"
+        "                 [--kernel generic|avx2|avx512|native]\n"
         "                 [--engine fp32|qexec]"
         " [--format unpacked|packed]\n"
         "                 [--max-queue N] [--flush-deadline-us N]"
@@ -231,6 +229,16 @@ parseMethod(const std::string &name)
     if (name == "linear")
         return CentroidMethod::Linear;
     usage(("unknown method: " + name).c_str());
+}
+
+WeightFormat
+parseFormat(const std::string &name)
+{
+    if (name == "packed")
+        return WeightFormat::Packed;
+    if (name == "unpacked")
+        return WeightFormat::Unpacked;
+    usage(("unknown format: " + name).c_str());
 }
 
 /**
@@ -390,22 +398,11 @@ cmdInfer(const Args &args)
         usage("infer needs a model file");
     std::string path = args.positional[0];
 
-    // Execution backend flags.
-    std::size_t threads = std::stoul(args.get("threads", "0"));
-    std::string backend = args.get("backend", "parallel");
-    ExecContext ctx;
-    if (backend == "serial")
-        ctx = ExecContext::serial();
-    else if (backend == "parallel")
-        ctx = ExecContext::parallel(threads);
-    else
-        usage(("unknown backend: " + backend).c_str());
-
-    std::string format = args.get("format", "unpacked");
-    if (format == "packed")
-        ctx.weightFormat = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
+    // Execution flags: --threads 0 (the default) means
+    // defaultThreads(), which honours GOBO_THREADS; 1 runs inline.
+    ExecContext ctx =
+        ExecContext::parallel(std::stoul(args.get("threads", "0")));
+    WeightFormat format = parseFormat(args.get("format", "unpacked"));
 
     // SIMD kernel tier. Default: whatever the process resolved (cpuid
     // best, or GOBO_KERNEL — so the env override must not be shadowed
@@ -475,8 +472,8 @@ cmdInfer(const Args &args)
     std::optional<InferenceSession> session;
     if (engine == "qexec") {
         ModelQuantOptions qopt;
-        qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        qopt.format = ctx.weightFormat;
+        qopt.threads = ctx.threads;
+        qopt.format = format;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -484,14 +481,12 @@ cmdInfer(const Args &args)
         usage(("unknown engine: " + engine).c_str());
     }
 
-    std::printf("%s engine (%s weights, %.1f KiB resident), %s backend"
-                " (%zu threads), %s kernels, batch %zu x %zu tokens\n",
+    std::printf("%s engine (%s weights, %.1f KiB resident), %zu threads,"
+                " %s kernels, batch %zu x %zu tokens\n",
                 engine.c_str(),
-                engine == "qexec" ? weightFormatName(ctx.weightFormat)
-                                  : "fp32",
-                toKiB(session->residentWeightBytes()),
-                backendName(ctx.backend), ctx.threads, kernels.name,
-                batch_size, seq_len);
+                engine == "qexec" ? weightFormatName(format) : "fp32",
+                toKiB(session->residentWeightBytes()), ctx.threads,
+                kernels.name, batch_size, seq_len);
     WallTimer timer;
     auto logits = session->headLogitsBatch(batch);
     double secs = timer.seconds();
@@ -501,6 +496,9 @@ cmdInfer(const Args &args)
                     argmax(logits[i].flat()));
         for (std::size_t j = 0; j < logits[i].size(); ++j)
             std::printf("%s%.4f", j ? ", " : "", logits[i](j));
+        std::printf("] hex [");
+        for (std::size_t j = 0; j < logits[i].size(); ++j)
+            std::printf("%s%a", j ? ", " : "", logits[i](j));
         std::puts("]");
     }
     std::printf("\n%.1f tokens/sec (%.1f ms for %zu tokens)\n",
@@ -574,11 +572,7 @@ cmdAudit(const Args &args)
     opt.quant.base.method = parseMethod(args.get("method", "gobo"));
     opt.quant.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
-    std::string format = args.get("format", "unpacked");
-    if (format == "packed")
-        opt.quant.format = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
+    opt.quant.format = parseFormat(args.get("format", "unpacked"));
     opt.sequences = std::stoul(args.get("sequences", "4"));
     opt.seqLen = std::stoul(args.get("seq-len", "32"));
     opt.seed = parseU64Flag(args, "seed", "42");
@@ -651,21 +645,9 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     // Execution stack flags, same shape as infer. Serving defaults to
     // the compressed-domain engine on packed weights — the
     // configuration the paper's latency story is about.
-    std::size_t threads =
-        static_cast<std::size_t>(parseU64Flag(args, "threads", "0"));
-    std::string backend = args.get("backend", "parallel");
-    ExecContext ctx;
-    if (backend == "serial")
-        ctx = ExecContext::serial();
-    else if (backend == "parallel")
-        ctx = ExecContext::parallel(threads);
-    else
-        usage(("unknown backend: " + backend).c_str());
-    std::string format = args.get("format", "packed");
-    if (format == "packed")
-        ctx.weightFormat = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
+    ExecContext ctx = ExecContext::parallel(
+        static_cast<std::size_t>(parseU64Flag(args, "threads", "0")));
+    WeightFormat format = parseFormat(args.get("format", "packed"));
     const KernelSet &kernels = args.has("kernel")
                                    ? kernelsByName(args.get("kernel", ""))
                                    : activeKernels();
@@ -712,8 +694,8 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     std::optional<InferenceSession> session;
     if (engine == "qexec") {
         ModelQuantOptions qopt;
-        qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        qopt.format = ctx.weightFormat;
+        qopt.threads = ctx.threads;
+        qopt.format = format;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -725,14 +707,12 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     meta.kernelTier = kernels.name;
     meta.threads = ctx.threads;
     meta.engine = engine;
-    meta.format = engine == "qexec" ? weightFormatName(ctx.weightFormat)
-                                    : "fp32";
+    meta.format = engine == "qexec" ? weightFormatName(format) : "fp32";
 
     std::printf("serving trace %s\n", meta.trace.c_str());
-    std::printf("%s engine (%s weights), %s backend (%zu threads), %s"
-                " kernels\n",
-                engine.c_str(), meta.format.c_str(),
-                backendName(ctx.backend), ctx.threads, kernels.name);
+    std::printf("%s engine (%s weights), %zu threads, %s kernels\n",
+                engine.c_str(), meta.format.c_str(), ctx.threads,
+                kernels.name);
 
     ServeServer server(*session, sopt);
     // Hand the caller the options the server resolved (tileLanes
