@@ -2,17 +2,17 @@
  * @file
  * Per-kernel throughput: the SIMD layer measured in isolation.
  *
- * Times the hot kernels — fold-left dot, axpy, the sequence-tiled
- * bucket scatter (phase 1 of the compressed-domain FC), and the
- * packed-row decode (phase 0) — on every tier the host can run
- * (generic, avx2, avx512), and reports GB/s of streamed operands and
- * GFLOP/s of useful arithmetic. Bucket and decode are swept across B
- * in {2, 3, 4} (k = 2^B buckets): the bucket kernel's flop count per
- * element is fixed (one add per index per lane), so the sweep shows
- * how bucket-working-set size moves the scatter, not the flops. Tile
- * kernels run at their tier's seqTile width (8 generic/avx2, 16
- * avx512), printed on each row. Tier-to-tier speedup here is the
- * microscopic view of the end-to-end numbers perfbench/ measures.
+ * Times the hot kernels — fold-left dot, axpy, the centroid-lookup
+ * dot product lutDot (the compressed-domain FC), and the packed-row
+ * decode that feeds it — on every tier the host can run (generic,
+ * avx2, avx512), and reports GB/s of streamed operands and GFLOP/s of
+ * useful arithmetic. lutDot and decode are swept across B in
+ * {2, 3, 4}; lutDot runs eight 3072-wide index rows (the engine's row
+ * chunk) against 1 token (the short-request case) and against 16
+ * tokens (a full avx512 register block, where one lookup serves every
+ * token).
+ * Tier-to-tier speedup here is the microscopic view of the end-to-end
+ * numbers perfbench/ measures.
  *
  * When hardware counters are available (obs/pmu.hh; GOBO_PMU governs
  * the counter source) every timed loop is additionally bracketed with PMU
@@ -47,7 +47,7 @@ struct Result
     std::string tier;
     unsigned bits = 0; ///< 0 for kernels without a bit width.
     std::size_t n = 0;
-    std::size_t seqTile = 0;
+    std::size_t seq = 0; ///< tokens per call; 0 where none apply.
     double gbPerSec = 0.0;
     double gflopPerSec = 0.0;
 };
@@ -100,18 +100,21 @@ timeAxpy(const KernelSet &kn, const std::vector<float> &x,
 }
 
 double
-timeBucket(const KernelSet &kn, const std::vector<std::uint8_t> &irow,
-           const std::vector<float> &xt, std::vector<double> &bucket,
-           std::size_t k, std::size_t reps)
+timeLutDot(const KernelSet &kn, const std::vector<std::uint8_t> &idx,
+           std::size_t rows, const std::vector<float> &table,
+           const std::vector<float> &x, std::size_t seq, std::size_t reps)
 {
-    std::size_t in = irow.size();
-    kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(), k);
+    std::size_t in = idx.size() / rows;
+    std::vector<float> sums(rows * seq);
+    kn.lutDot(idx.data(), rows, in, table.data(), table.size(),
+              x.data(), in, seq, sums.data()); // warm-up
     WallTimer timer;
-    for (std::size_t r = 0; r < reps; ++r)
-        kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(), k);
-    double secs = timer.seconds();
-    sink(bucket[0]);
-    return secs;
+    for (std::size_t r = 0; r < reps; ++r) {
+        kn.lutDot(idx.data(), rows, in, table.data(), table.size(),
+                  x.data(), in, seq, sums.data());
+        sink(sums[0]);
+    }
+    return timer.seconds();
 }
 
 double
@@ -157,20 +160,20 @@ main(int argc, char **argv)
     if (const KernelSet *avx512 = avx512Kernels())
         tiers.push_back(avx512);
 
-    // Dense kernels at a BERT-base-like width; the bucket kernel at the
-    // hidden size (one weight row against one activation tile).
+    // Dense kernels at a BERT-base-like width; lutDot at the FFN width,
+    // 8 index rows per call (the engine's row chunk) against 1 or 16
+    // activation rows.
     constexpr std::size_t kDenseN = 4096;
     constexpr std::size_t kIn = 3072;
+    constexpr std::size_t kLutRows = 8;
 
     Rng rng(seed);
     std::vector<float> a(kDenseN), b(kDenseN), y(kDenseN);
     rng.fillGaussian(a, 0.0, 1.0);
     rng.fillGaussian(b, 0.0, 1.0);
     rng.fillGaussian(y, 0.0, 1.0);
-    // Activation tiles are sized for the widest tier; a tier's bucket
-    // kernel only reads the first seqTile lanes of each element.
-    std::vector<float> xt(kIn * kMaxSeqTile);
-    rng.fillGaussian(xt, 0.0, 1.0);
+    std::vector<float> xs(kIn * 16);
+    rng.fillGaussian(xs, 0.0, 1.0);
 
     std::printf("Micro-benchmark: kernel throughput (%zu reps, tiers:",
                 reps);
@@ -215,7 +218,7 @@ main(int argc, char **argv)
             // element.
             double bytes = calls * 2.0 * kDenseN * sizeof(float);
             double flops = calls * 2.0 * kDenseN;
-            results.push_back({"dot", kn.name, 0, kDenseN, kn.seqTile,
+            results.push_back({"dot", kn.name, 0, kDenseN, 0,
                                bytes / secs / 1e9, flops / secs / 1e9});
             addRoofline(results.back(), delta, secs, flops);
         }
@@ -228,35 +231,35 @@ main(int argc, char **argv)
             // element.
             double bytes = calls * 3.0 * kDenseN * sizeof(float);
             double flops = calls * 2.0 * kDenseN;
-            results.push_back({"axpy", kn.name, 0, kDenseN, kn.seqTile,
+            results.push_back({"axpy", kn.name, 0, kDenseN, 0,
                                bytes / secs / 1e9, flops / secs / 1e9});
             addRoofline(results.back(), delta, secs, flops);
         }
-        const std::size_t tile = kn.seqTile;
         for (unsigned bits : {2u, 3u, 4u}) {
             std::size_t k = std::size_t{1} << bits;
-            std::vector<std::uint8_t> irow(kIn);
+            std::vector<std::uint8_t> idx(kLutRows * kIn);
             Rng irng(seed * 97 + bits);
-            for (auto &v : irow)
+            for (auto &v : idx)
                 v = static_cast<std::uint8_t>(
                     irng.integer(0, static_cast<int>(k) - 1));
-            std::vector<double> bucket(k * tile);
-            PmuSample t0 = pmu.threadSample();
-            double secs = timeBucket(kn, irow, xt, bucket, k,
-                                     reps / 4);
-            PmuSample delta = pmu.threadSample().since(t0);
-            double calls = static_cast<double>(reps / 4);
-            // Streams the index row and the activation tile, plus the
-            // bucket working set (reads + writes, but it stays in L1).
-            double bytes =
-                calls * (kIn * (1.0 + tile * sizeof(float))
-                         + 2.0 * k * tile * sizeof(double));
-            // One double add per (index, lane).
-            double flops = calls * kIn * tile;
-            results.push_back({"bucket_acc_tile", kn.name, bits, kIn,
-                               tile, bytes / secs / 1e9,
-                               flops / secs / 1e9});
-            addRoofline(results.back(), delta, secs, flops);
+            std::vector<float> table(k);
+            irng.fillGaussian(table, 0.0, 0.05);
+            for (std::size_t seq : {std::size_t{1}, std::size_t{16}}) {
+                PmuSample t0 = pmu.threadSample();
+                double secs = timeLutDot(kn, idx, kLutRows, table, xs,
+                                         seq, reps / 32);
+                PmuSample delta = pmu.threadSample().since(t0);
+                double calls = static_cast<double>(reps / 32);
+                // Streams the index rows once and every token's
+                // activation row; one mul + one add per (index, token).
+                double bytes = calls * kIn
+                               * (kLutRows + seq * sizeof(float));
+                double flops = calls * 2.0 * kLutRows * kIn * seq;
+                results.push_back({"lut_dot", kn.name, bits, kIn, seq,
+                                   bytes / secs / 1e9,
+                                   flops / secs / 1e9});
+                addRoofline(results.back(), delta, secs, flops);
+            }
         }
         for (unsigned bits : {2u, 3u, 4u}) {
             // Packed-row decode: the phase-0 step of the compressed-
@@ -282,18 +285,19 @@ main(int argc, char **argv)
             double calls = static_cast<double>(reps / 4);
             double bytes =
                 calls * (static_cast<double>(packed.size()) + kIn);
-            results.push_back({"decode_row", kn.name, bits, kIn, tile,
+            results.push_back({"decode_row", kn.name, bits, kIn, 0,
                                bytes / secs / 1e9, 0.0});
             addRoofline(results.back(), delta, secs, 0.0);
         }
     }
 
     ConsoleTable table(
-        {"Kernel", "Tier", "B", "N", "Tile", "GB/s", "GFLOP/s"});
+        {"Kernel", "Tier", "B", "N", "Seq", "GB/s", "GFLOP/s"});
     for (const auto &r : results)
         table.addRow({r.kernel, r.tier,
                       r.bits ? std::to_string(r.bits) : "-",
-                      std::to_string(r.n), std::to_string(r.seqTile),
+                      std::to_string(r.n),
+                      r.seq ? std::to_string(r.seq) : "-",
                       ConsoleTable::num(r.gbPerSec, 2),
                       ConsoleTable::num(r.gflopPerSec, 2)});
     table.print(std::cout);

@@ -34,8 +34,8 @@ QuantizedLinear::QuantizedLinear(QuantizedTensor w, Tensor b,
     }
 
     // Group outlier corrections by row. The index slot under an
-    // outlier still contributes its centroid through the bucket sums,
-    // so the correction is the difference, not the raw value.
+    // outlier still contributes its centroid through lutDot, so the
+    // correction is the difference, not the raw value.
     outlierRowStart.assign(weights.rows + 1, 0);
     outliers.reserve(weights.outlierPositions.size());
     for (std::size_t o = 0; o < weights.outlierPositions.size(); ++o) {
@@ -62,8 +62,7 @@ QuantizedLinear::decodeRow(const KernelSet &kn, std::size_t row,
 }
 
 Tensor
-QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x,
-                         OpCounts *counts) const
+QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
 {
     fatalIf(x.rank() != 2 || x.cols() != weights.cols,
             "QuantizedLinear input shape mismatch: got ", x.rows(), "x",
@@ -104,60 +103,39 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x,
             obs->metrics.add(lids.rowsDecoded, out);
     }
 
-    // Sequence-tiled execution: transpose the activations once per
-    // forward into seqTile-lane tiles ([tile][input][lane]) at the
-    // executing tier's width (8 for generic/avx2, 16 for avx512),
-    // then run the three bucket phases with vertical SIMD across the
-    // lanes. Per lane the reduction order is exactly the historical
-    // scalar loop (ascending i, then c, then outlier index, all in
-    // double), so the tiled kernel — on every tier, at every tile
-    // width — is bit-identical to the original per-(s, o) loop: lanes
-    // are independent sequence positions, and widening the tile only
-    // adds lanes. Only full tiles are transposed: a padded tail tile
-    // would spend seqTile lanes of kernel work on a few live rows
-    // (the pooler runs at seq == 1), so tail rows instead take the
-    // scalar per-lane path below, which applies the same reduction
-    // order one lane at a time.
+    // Token-blocked execution: each lutDot call runs a chunk of weight
+    // rows against up to seqTile tokens (the executing tier's register
+    // block, 8 for generic/avx2 and 16 for avx512), straight off the
+    // untransposed activation rows — one decoded index vector serves
+    // every token of the block. Every y(s, o) follows the lutDot
+    // contract (kernels/kernels.hh) and then adds the bias and the
+    // row's outlier corrections in double, in row order, so the
+    // result does not depend on the tier, the block a token lands in,
+    // or the thread that computes it.
     const KernelSet &kn = resolveKernels(ctx.kernels);
     const std::size_t tile_w = kn.seqTile;
     fatalIf(tile_w == 0 || tile_w > kMaxSeqTile, "kernel tier '",
             kn.name, "' has invalid seqTile ", tile_w);
-    std::size_t full_tiles = seq / tile_w;
-    std::size_t tail0 = full_tiles * tile_w;
-    std::vector<float> xt(full_tiles * in * tile_w);
-    for (std::size_t t = 0; t < full_tiles; ++t) {
-        std::size_t s0 = t * tile_w;
-        float *tile = xt.data() + t * in * tile_w;
-        for (std::size_t l = 0; l < tile_w; ++l) {
-            const float *xrow = x.row(s0 + l).data();
-            for (std::size_t i = 0; i < in; ++i)
-                tile[i * tile_w + l] = xrow[i];
-        }
-    }
+    std::size_t tile_units = (seq + tile_w - 1) / tile_w;
 
-    // 2-D output-row × sequence-tile partitioning. Row blocks split
-    // the output dimension first (each keeps the row-outer decode
+    // 2-D output-row × token-block partitioning. Row blocks split the
+    // output dimension first (each keeps the row-outer decode
     // amortization); when there are too few rows to feed every thread
     // — small layers, or a deep sweep at high thread counts — the
-    // sequence-tile dimension splits too, so the grid always carries
-    // roughly threads*4 stealable tasks. The tail rows (seq % tile)
-    // count as one extra tile unit. Every y(s, o) belongs to exactly
-    // one (row block, tile block) cell, and each cell runs the serial
-    // bucket/table/correction order per (o, tile), so the partition —
-    // and the thread count — cannot change a bit of the output. Task
-    // OpCounts are reduced in index order below.
+    // token-block dimension splits too, so the grid always carries
+    // roughly threads*4 stealable tasks. Every y(s, o) belongs to
+    // exactly one (row block, token block) cell and is computed
+    // independently of the others, so the partition — and the thread
+    // count — cannot change a bit of the output.
     //
-    // Scratch comes from the calling thread's arena (exec/scratch.hh):
-    // the bucket accumulator tile is plain reusable storage, and for
-    // Packed layers the whole row block is decoded into the arena's
-    // multi-slot cache, so consecutive tile-block tasks of one row
-    // block decode it only once — and a block that survives in cache
-    // across forwards (the pooler's, typically) never decodes again.
-    // Nothing on this path allocates after warm-up.
+    // For Packed layers the whole row block is decoded into the
+    // calling thread's scratch arena (exec/scratch.hh), whose
+    // multi-slot cache lets consecutive token-block tasks of one row
+    // block decode it only once. Nothing on this path allocates after
+    // warm-up.
     bool packed = fmt == WeightFormat::Packed;
     const Observer::QexecLayerIds *lids_ptr =
         ctx.obs && packed ? &ctx.obs->layerIds(label) : nullptr;
-    std::size_t tile_units = full_tiles + (tail0 < seq ? 1 : 0);
     std::size_t target = ctx.isParallel() ? ctx.threads * 4 : 1;
     std::size_t rblocks = std::min(out, target);
     std::size_t tblocks = 1;
@@ -167,20 +145,18 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x,
     std::size_t n_tasks = rblocks * tblocks;
     std::size_t rblock = (out + rblocks - 1) / rblocks;
     std::size_t tblock = (tile_units + tblocks - 1) / tblocks;
-    std::vector<OpCounts> task_counts(counts ? n_tasks : 0);
-    // Grain hint: bucket accumulation is in adds + k table ops per
-    // (o, s) pair, split evenly across the grid.
-    std::size_t task_cost = seq * (in + k) * out / n_tasks + 1;
+    // Grain hint: one multiply and one add per weight per token, split
+    // evenly across the grid.
+    std::size_t task_cost = 2 * seq * in * out / n_tasks + 1;
 
     ctx.parallelFor(n_tasks, task_cost, [&](std::size_t task) {
         std::size_t rb = task / tblocks, tb = task % tblocks;
         std::size_t o0 = rb * rblock;
         std::size_t o1 = std::min(o0 + rblock, out);
-        std::size_t u0 = tb * tblock;
-        std::size_t u1 = std::min(u0 + tblock, tile_units);
-        if (o0 >= o1 || u0 >= u1)
+        std::size_t s0 = tb * tblock * tile_w;
+        std::size_t s1 = std::min(s0 + tblock * tile_w, seq);
+        if (o0 >= o1 || s0 >= s1)
             return;
-        ScratchArena &arena = execScratch();
         const std::uint8_t *rows = nullptr;
         if (packed) {
             struct DecodeCtx
@@ -189,7 +165,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x,
                 const KernelSet *kn;
             } dctx{this, &kn};
             bool hit = false;
-            rows = arena.decodedRows(
+            rows = execScratch().decodedRows(
                 scratchId, rb, o0, o1, in,
                 [](const void *c, std::size_t row, std::uint8_t *dst) {
                     const auto *d = static_cast<const DecodeCtx *>(c);
@@ -203,76 +179,41 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x,
                                          : lids_ptr->decodeCacheMisses,
                                      o1 - o0);
         }
-        double *bucket = arena.buckets(k * tile_w);
-        double acc[kMaxSeqTile];
-        OpCounts local;
-        for (std::size_t o = o0; o < o1; ++o) {
-            const std::uint8_t *irow = packed
-                                           ? rows + (o - o0) * in
-                                           : indexes.data() + o * in;
-            std::uint32_t o_begin = outlierRowStart[o];
-            std::uint32_t o_end = outlierRowStart[o + 1];
-            double bias_o = bias(o);
-            for (std::size_t u = u0; u < u1; ++u) {
-                if (u < full_tiles) {
-                    const float *tile = xt.data() + u * in * tile_w;
-                    std::size_t s0 = u * tile_w;
-                    // Phase 1: additions only — steer activations
-                    // into the per-centroid buckets (the
-                    // accelerator's accumulators), all lanes at once.
-                    kn.bucketAccTile(irow, in, tile, bucket, k);
-                    // Phase 2: one multiply per centroid per lane.
-                    kn.centroidDotTile(weights.centroids.data(), k,
-                                       bucket, bias_o, acc);
-                    // Phase 3: one correction MAC per outlier per
-                    // lane.
-                    kn.outlierTile(outliers.data() + o_begin,
-                                   o_end - o_begin, tile, acc);
-                    for (std::size_t l = 0; l < tile_w; ++l)
-                        y.row(s0 + l).data()[o] =
-                            static_cast<float>(acc[l]);
-                    if (counts) {
-                        local.additions +=
-                            tile_w * (in + k + (o_end - o_begin));
-                        local.multiplications +=
-                            tile_w * (k + (o_end - o_begin));
-                    }
-                    continue;
-                }
-                // Tail rows (seq % seqTile): the same three phases,
-                // one lane at a time, straight off the untransposed
-                // rows. The per-lane reduction order matches the tile
-                // kernels exactly, so full-tile and tail outputs stay
-                // on one numeric contract.
-                for (std::size_t s = tail0; s < seq; ++s) {
-                    const float *xrow = x.row(s).data();
-                    std::fill(bucket, bucket + k, 0.0);
-                    for (std::size_t i = 0; i < in; ++i)
-                        bucket[irow[i]] += xrow[i];
-                    double a = bias_o;
-                    for (std::size_t c = 0; c < k; ++c)
-                        a += static_cast<double>(weights.centroids[c])
-                             * bucket[c];
-                    for (std::uint32_t ot = o_begin; ot < o_end; ++ot)
-                        a += static_cast<double>(
-                                 outliers[ot].correction)
-                             * xrow[outliers[ot].column];
-                    y.row(s).data()[o] = static_cast<float>(a);
-                    if (counts) {
-                        local.additions += in + k + (o_end - o_begin);
-                        local.multiplications +=
-                            k + (o_end - o_begin);
+        // Token blocks outer, rows inner: one block's activation rows
+        // stay cache-resident while the row block streams past them,
+        // kRowChunk rows per kernel call.
+        constexpr std::size_t kRowChunk = 8;
+        float sums[kRowChunk * kMaxSeqTile];
+        for (std::size_t b0 = s0; b0 < s1; b0 += tile_w) {
+            std::size_t n = std::min(tile_w, s1 - b0);
+            for (std::size_t c0 = o0; c0 < o1; c0 += kRowChunk) {
+                std::size_t nr = std::min(kRowChunk, o1 - c0);
+                const std::uint8_t *irows = packed
+                                                ? rows + (c0 - o0) * in
+                                                : indexes.data() + c0 * in;
+                kn.lutDot(irows, nr, in, weights.centroids.data(), k,
+                          x.row(b0).data(), in, n, sums);
+                for (std::size_t r = 0; r < nr; ++r) {
+                    std::size_t o = c0 + r;
+                    const OutlierTerm *terms =
+                        outliers.data() + outlierRowStart[o];
+                    std::size_t n_terms =
+                        outlierRowStart[o + 1] - outlierRowStart[o];
+                    auto bias_o = static_cast<double>(bias(o));
+                    for (std::size_t l = 0; l < n; ++l) {
+                        const float *xrow = x.row(b0 + l).data();
+                        double a =
+                            bias_o + static_cast<double>(sums[r * n + l]);
+                        for (std::size_t t = 0; t < n_terms; ++t)
+                            a += static_cast<double>(terms[t].correction)
+                                 * static_cast<double>(
+                                     xrow[terms[t].column]);
+                        y.row(b0 + l).data()[o] = static_cast<float>(a);
                     }
                 }
             }
         }
-        if (counts)
-            task_counts[task] = local;
     });
-
-    if (counts)
-        for (const auto &tc : task_counts)
-            *counts += tc;
     return y;
 }
 

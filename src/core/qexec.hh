@@ -13,9 +13,14 @@
  * (additions only, steered by the 3-bit indexes), then do 2^B
  * multiplies by the centroid table. Outliers contribute one extra
  * correction MAC each: (w - c_assigned) * x. The GOBO accelerator
- * builds exactly this datapath; QuantizedLinear reproduces its
- * arithmetic (bit-identical outputs up to FP reassociation) and counts
- * the operations so the multiplier-reduction claim can be measured.
+ * builds exactly this datapath, and opCounts() counts its operations
+ * so the multiplier-reduction claim can be measured.
+ *
+ * A CPU has no per-bucket accumulators, so QuantizedLinear computes
+ * the same sum the other way round: it looks each weight's centroid up
+ * in registers and multiplies it into fp32 partial sums
+ * (KernelSet::lutDot), then adds bias and outlier corrections in
+ * double. The two orders agree up to FP reassociation.
  */
 
 #ifndef GOBO_CORE_QEXEC_HH
@@ -63,8 +68,8 @@ struct OpCounts
  * (B = 3), or a scalar two-byte window (B = 5..7); the avx512 tier
  * expands 64 indexes at a time in-register for B <= 6. Decode is
  * integer-exact, so every tier produces identical bytes, and both
- * formats feed the identical bucket/table/correction arithmetic —
- * outputs are bit-identical across formats and tiers.
+ * formats feed the identical lutDot/correction arithmetic — outputs
+ * are bit-identical across formats and tiers.
  */
 class QuantizedLinear
 {
@@ -79,23 +84,17 @@ class QuantizedLinear
                     std::string label = "qlinear");
 
     /**
-     * Forward pass via sequence-tiled per-centroid accumulation: the
-     * activations are transposed once into seqTile-lane tiles (the
-     * executing tier's width — 8 for generic/avx2, 16 for avx512),
-     * each weight row is decoded once, and the bucket/table/correction
-     * phases run vertically across the lanes through the context's
-     * kernel tier. x is [seq, in]. Parallelizes over a 2-D
-     * output-row-block × sequence-tile-block grid on the context's
-     * backend, with per-worker scratch arenas (exec/scratch.hh)
-     * holding the bucket accumulators and decoded packed rows — the
-     * hot path never allocates, and a worker that owns several tile
-     * blocks of one row block decodes that block once. Every y(s, o)
-     * is produced by exactly one grid cell and keeps the serial
-     * bucket/table/correction order (per lane, in double), so weight
-     * formats, kernel tiers AND thread counts are all
-     * bit-identical here. When `counts` is non-null the operations
-     * actually performed are accumulated into it (each task counts
-     * locally, tasks are summed in index order).
+     * Forward pass straight from the compressed form: x is [seq, in].
+     * Each weight row is decoded once (Packed) and run through the
+     * context tier's lutDot against up to seqTile tokens at a time;
+     * bias and the row's outlier corrections are then added in double,
+     * in row order. Parallelizes over a 2-D output-row-block ×
+     * token-block grid on the context's threads, with per-worker
+     * scratch arenas (exec/scratch.hh) holding the decoded packed
+     * rows — the hot path never allocates. Every y(s, o) is computed
+     * on its own by exactly one grid cell under one numeric contract
+     * (DESIGN.md §11), so weight formats, kernel tiers AND thread
+     * counts are all bit-identical here.
      *
      * With an observer on the context, each call records one span
      * (named by `label`) plus qexec.* counters: rows decoded, weight
@@ -107,11 +106,15 @@ class QuantizedLinear
      * Instrumentation happens outside the kernel loops and never
      * touches float math.
      */
-    Tensor forward(const ExecContext &ctx, const Tensor &x,
-                   OpCounts *counts = nullptr) const;
+    Tensor forward(const ExecContext &ctx, const Tensor &x) const;
     Tensor forward(const Tensor &x) const;
 
-    /** Operations a forward pass at this sequence length performs. */
+    /**
+     * Operations the paper's accumulate-then-multiply datapath performs
+     * at this sequence length (bucket adds, one multiply per centroid,
+     * one MAC per outlier) — the accelerator's count, not the CPU
+     * kernel's.
+     */
     OpCounts opCounts(std::size_t seq) const;
 
     /** Operations the FP32 dense equivalent performs. */
@@ -141,6 +144,16 @@ class QuantizedLinear
     std::size_t residentBytes() const;
 
   private:
+    /**
+     * One outlier's contribution to its row: the weight sits at
+     * `column`, and `correction` is w - centroid[assigned index].
+     */
+    struct OutlierTerm
+    {
+        std::uint32_t column;
+        float correction;
+    };
+
     /** Decode row `row`'s `cols` indexes from the packed stream via
      * tier `kn`'s decoder (any tier yields identical bytes). */
     void decodeRow(const KernelSet &kn, std::size_t row,
@@ -156,11 +169,7 @@ class QuantizedLinear
     std::uint64_t scratchId;
     /** Unpacked per-weight centroid indexes, row-major (Unpacked only). */
     std::vector<std::uint8_t> indexes;
-    /**
-     * One (column, correction) pair per outlier, grouped by row, in
-     * the kernel layer's layout (kernels/kernels.hh) so phase 3 can
-     * hand a row's slice straight to the outlier-correction kernel.
-     */
+    /** One (column, correction) pair per outlier, grouped by row. */
     std::vector<OutlierTerm> outliers;
     std::vector<std::uint32_t> outlierRowStart; ///< rows+1 offsets.
 };

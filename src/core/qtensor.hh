@@ -69,9 +69,9 @@ class QuantizedTensor
      * Index-slot population per centroid: counts[k] is how many of the
      * rows*cols packed indexes select centroid k. Every slot counts,
      * including the slots under outliers (whose nearest-centroid index
-     * is what the execution engines' bucket accumulators actually
-     * see). The audit layer reads this to flag dead (zero-count) and
-     * saturated (one-centroid-dominated) tables.
+     * is what the execution engines actually look up). The audit
+     * layer reads this to flag dead (zero-count) and saturated
+     * (one-centroid-dominated) tables.
      */
     std::vector<std::uint64_t> centroidOccupancy() const;
 

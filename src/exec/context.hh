@@ -32,7 +32,7 @@ struct KernelSet; // kernels/kernels.hh; contexts only carry the pointer.
  * widened to one byte at load time, so a 3-bit model streams ~2.7x the
  * bytes its container occupies. Packed keeps the B-bit stream resident
  * — the paper's memory-traffic story — and decodes rows on the fly
- * inside the bucket-accumulation kernel. Both formats are bit-identical
+ * ahead of the centroid-lookup kernel. Both formats are bit-identical
  * on outputs; the choice only moves bytes.
  */
 enum class WeightFormat

@@ -58,22 +58,11 @@ ScratchArena::~ScratchArena()
 void
 ScratchArena::updateReserved()
 {
-    std::size_t bytes =
-        bucketBuf.capacity() * sizeof(double) + rowBuf.capacity();
+    std::size_t bytes = rowBuf.capacity();
     for (const Slot &s : slots)
         bytes += s.buf.capacity();
     reserved.store(bytes, std::memory_order_relaxed);
     cacheBytes.store(heldBytes, std::memory_order_relaxed);
-}
-
-double *
-ScratchArena::buckets(std::size_t n)
-{
-    if (bucketBuf.size() < n) {
-        bucketBuf.resize(n);
-        updateReserved();
-    }
-    return bucketBuf.data();
 }
 
 const std::uint8_t *

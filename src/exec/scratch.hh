@@ -2,24 +2,22 @@
  * @file
  * Per-worker scratch arenas for the compressed-domain hot path.
  *
- * The bucket kernels need two kinds of transient storage per task: the
- * per-centroid accumulator tile and, for Packed layers, the decoded
- * byte-per-weight index rows. Allocating either inside the parallel
- * loop puts malloc on the hot path and (worse) re-decodes a packed row
- * for every sequence tile that touches it. A ScratchArena is owned by
- * exactly one thread (the accessor is thread_local, and the pool's
- * workers are persistent, so in practice arenas are keyed by worker
- * slot): buffers grow monotonically and are reused across tasks,
- * layers, and forwards without synchronization.
+ * Packed layers need transient storage per task for the decoded
+ * byte-per-weight index rows that lutDot reads. Allocating it inside
+ * the parallel loop puts malloc on the hot path and (worse) re-decodes
+ * a packed row for every token block that touches it. A ScratchArena
+ * is owned by exactly one thread (the accessor is thread_local, and
+ * the pool's workers are persistent, so in practice arenas are keyed
+ * by worker slot): buffers grow monotonically and are reused across
+ * tasks, layers, and forwards without synchronization.
  *
  * Ownership rule: a pointer obtained from the arena is valid until the
  * *same thread* asks the arena for anything else — tasks must finish
  * with their scratch before returning to the pool, and must not ask
  * for scratch on behalf of another thread. Nothing in the arena is
  * ever shared across threads, which is also why it cannot affect
- * determinism: scratch holds decoded indexes (a pure function of the
- * weights) and kernel accumulators that every task overwrites before
- * reading.
+ * determinism: scratch holds decoded indexes, a pure function of the
+ * weights.
  *
  * The decoded-row cache is a bounded multi-slot cache tagged by
  * (owner id, row block, row range, cols): each slot holds one decoded
@@ -77,10 +75,6 @@ class ScratchArena
     using RowDecodeFn = void (*)(const void *ctx, std::size_t row,
                                  std::uint8_t *out);
 
-    /** A zeroable double buffer of at least `n` elements (the kernels
-     * zero-fill it themselves). Invalidated by the next arena call. */
-    double *buckets(std::size_t n);
-
     /**
      * Decoded indexes for rows [row0, row1) of owner `ownerId`, one
      * byte per weight, `cols` per row, consecutive rows `cols` apart.
@@ -89,7 +83,7 @@ class ScratchArena
      * per row into a cache slot (evicting clock-wise to fit the
      * budget) or, for blocks larger than the whole budget, into a
      * transient buffer. The pointer is invalidated by the next
-     * decodedRows() call (buckets() leaves it intact). `hit`, when
+     * decodedRows() call. `hit`, when
      * non-null, reports whether the block came from cache.
      */
     const std::uint8_t *decodedRows(std::uint64_t ownerId,
@@ -120,7 +114,6 @@ class ScratchArena
 
     void updateReserved();
 
-    std::vector<double> bucketBuf;
     std::vector<std::uint8_t> rowBuf; ///< over-budget transient blocks.
     std::vector<Slot> slots;
     std::size_t clockHand = 0;

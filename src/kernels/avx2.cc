@@ -10,12 +10,11 @@
  * explicitly so NaN stays NaN and ±Inf behaves like the scalar libm
  * path.
  *
- * The bucket-tile kernels are different: they keep the scalar loop's
- * per-lane double arithmetic and order exactly (convert-then-add in
- * phase 1, multiply-then-add — deliberately NOT fmadd — in phases 2/3),
- * so the quantized FC output is bit-identical to the generic tier.
- * Vertical SIMD across sequence lanes never reassociates a per-lane
- * reduction.
+ * lutDot is different: it keeps the kernels.hh numeric contract
+ * exactly — the 16 partial sums live in two ymm (lanes i mod 16 in
+ * 0..7 and 8..15), products are rounded before the add (deliberately
+ * NOT fmadd), and centroid lookup is an exact vpermps or gather — so
+ * the quantized FC output is bit-identical to the generic tier.
  *
  * This file is compiled with -mavx2 -mfma on x86-64 builds only; on
  * other targets (or compilers without AVX2) it degrades to a stub that
@@ -28,8 +27,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace gobo {
 
@@ -307,76 +309,141 @@ tanhRowAvx2(float *row, std::size_t n)
         row[i] = std::tanh(row[i]);
 }
 
-static_assert(kSeqTile == 8,
-              "the AVX2 bucket-tile kernels hard-code 8 lanes "
-              "(2 x 4 doubles)");
+static_assert(kLutLanes == 16,
+              "the AVX2 lutDot holds the 16 partial sums in two ymm");
 
-void
-bucketAccTileAvx2(const std::uint8_t *irow, std::size_t in,
-                  const float *xT, double *bucket, std::size_t k)
+/**
+ * Exact centroid lookup for 8 epi32 indexes. Kind 0: k <= 8, one
+ * vpermps; kind 1: k <= 16, a vpermps per table half blended on index
+ * bit 3; kind 2: anything larger, a gather straight from the table.
+ */
+template <int Kind>
+struct LutAvx2
 {
-    const __m256d zero = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < k; ++c) {
-        _mm256_storeu_pd(bucket + c * kSeqTile, zero);
-        _mm256_storeu_pd(bucket + c * kSeqTile + 4, zero);
+    __m256 lo, hi;
+    const float *table;
+
+    LutAvx2(const float *t, std::size_t k) : table(t)
+    {
+        alignas(32) float pad[16] = {};
+        for (std::size_t c = 0; c < k && c < 16; ++c)
+            pad[c] = t[c];
+        lo = _mm256_load_ps(pad);
+        hi = _mm256_load_ps(pad + 8);
     }
-    // Vertical adds only: lane l accumulates its activations in
-    // ascending-i order, exactly the scalar reduction, in double.
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kSeqTile;
-        __m256 x = _mm256_loadu_ps(xT + i * kSeqTile);
-        __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x));
-        __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1));
-        _mm256_storeu_pd(dst,
-                         _mm256_add_pd(_mm256_loadu_pd(dst), lo));
-        _mm256_storeu_pd(dst + 4,
-                         _mm256_add_pd(_mm256_loadu_pd(dst + 4), hi));
+
+    __m256
+    operator()(__m256i iv) const
+    {
+        if constexpr (Kind == 0) {
+            return _mm256_permutevar8x32_ps(lo, iv);
+        } else if constexpr (Kind == 1) {
+            return _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps(lo, iv),
+                _mm256_permutevar8x32_ps(hi, iv),
+                _mm256_castsi256_ps(_mm256_slli_epi32(iv, 28)));
+        } else {
+            return _mm256_i32gather_ps(table, iv, 4);
+        }
     }
+};
+
+/** f(integral_constant<0>), .., f(integral_constant<N-1>), unrolled so
+ * per-token accumulator arrays index by constants and stay in
+ * registers. */
+template <std::size_t N, typename F>
+inline void
+unrolled(F &&f)
+{
+    [&]<std::size_t... T>(std::index_sequence<T...>) {
+        (f(std::integral_constant<std::size_t, T>{}), ...);
+    }(std::make_index_sequence<N>{});
+}
+
+/**
+ * lutDot for NT tokens at once: each 16-index group is looked up once
+ * and multiplied into every token's two accumulators. The in % 16
+ * tail and the halving tree run on the spilled partial sums in scalar
+ * code (mul then add; this TU is built with -ffp-contract=off).
+ */
+template <int Kind, std::size_t NT>
+void
+lutBlockAvx2(const std::uint8_t *idx, std::size_t in,
+             const LutAvx2<Kind> &lut, const float *x, std::size_t ldx,
+             float *sums)
+{
+    __m256 acc0[NT], acc1[NT];
+    unrolled<NT>([&](auto t) {
+        acc0[t] = _mm256_setzero_ps();
+        acc1[t] = _mm256_setzero_ps();
+    });
+    std::size_t i = 0;
+    for (; i + 16 <= in; i += 16) {
+        __m128i b = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(idx + i));
+        __m256 w0 = lut(_mm256_cvtepu8_epi32(b));
+        __m256 w1 = lut(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)));
+        unrolled<NT>([&](auto t) {
+            const float *xs = x + t * ldx + i;
+            acc0[t] = _mm256_add_ps(
+                acc0[t], _mm256_mul_ps(w0, _mm256_loadu_ps(xs)));
+            acc1[t] = _mm256_add_ps(
+                acc1[t], _mm256_mul_ps(w1, _mm256_loadu_ps(xs + 8)));
+        });
+    }
+    unrolled<NT>([&](auto t) {
+        alignas(32) float p[16];
+        _mm256_store_ps(p, acc0[t]);
+        _mm256_store_ps(p + 8, acc1[t]);
+        const float *xs = x + t * ldx;
+        for (std::size_t l = 0; i + l < in; ++l)
+            p[l] = p[l] + lut.table[idx[i + l]] * xs[i + l];
+        for (std::size_t half = 8; half > 0; half /= 2)
+            for (std::size_t l = 0; l < half; ++l)
+                p[l] = p[l] + p[l + half];
+        sums[t] = p[0];
+    });
+}
+
+/** lutBlockAvx2<Kind, n> for n = 1..4, indexed by n - 1. */
+template <int Kind, std::size_t... N>
+constexpr auto
+lutBlocksAvx2(std::index_sequence<N...>)
+{
+    return std::array{&lutBlockAvx2<Kind, N + 1>...};
+}
+
+template <int Kind>
+void
+lutDotKindAvx2(const std::uint8_t *idx, std::size_t rows, std::size_t in,
+               const float *table, std::size_t k, const float *x,
+               std::size_t ldx, std::size_t seq, float *sums)
+{
+    static constexpr auto blocks =
+        lutBlocksAvx2<Kind>(std::make_index_sequence<4>{});
+    const LutAvx2<Kind> lut(table, k);
+    // Up to four tokens per lookup: 8 accumulators + 2 table halves +
+    // 2 weight vectors fit the 16 ymm registers.
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t s = 0; s < seq;) {
+            std::size_t n = std::min<std::size_t>(seq - s, 4);
+            blocks[n - 1](idx + r * in, in, lut, x + s * ldx, ldx,
+                          sums + r * seq + s);
+            s += n;
+        }
 }
 
 void
-centroidDotTileAvx2(const float *centroids, std::size_t k,
-                    const double *bucket, double bias, double *acc)
+lutDotAvx2(const std::uint8_t *idx, std::size_t rows, std::size_t in,
+           const float *table, std::size_t k, const float *x,
+           std::size_t ldx, std::size_t seq, float *sums)
 {
-    __m256d a0 = _mm256_set1_pd(bias);
-    __m256d a1 = a0;
-    for (std::size_t c = 0; c < k; ++c) {
-        const __m256d cv =
-            _mm256_set1_pd(static_cast<double>(centroids[c]));
-        // mul then add, not fmadd: the scalar loop rounds the product
-        // before accumulating, and this tier promises bit-identity.
-        a0 = _mm256_add_pd(
-            a0, _mm256_mul_pd(cv,
-                              _mm256_loadu_pd(bucket + c * kSeqTile)));
-        a1 = _mm256_add_pd(
-            a1,
-            _mm256_mul_pd(cv,
-                          _mm256_loadu_pd(bucket + c * kSeqTile + 4)));
-    }
-    _mm256_storeu_pd(acc, a0);
-    _mm256_storeu_pd(acc + 4, a1);
-}
-
-void
-outlierTileAvx2(const OutlierTerm *terms, std::size_t count,
-                const float *xT, double *acc)
-{
-    __m256d a0 = _mm256_loadu_pd(acc);
-    __m256d a1 = _mm256_loadu_pd(acc + 4);
-    for (std::size_t t = 0; t < count; ++t) {
-        const __m256d cv =
-            _mm256_set1_pd(static_cast<double>(terms[t].correction));
-        __m256 x = _mm256_loadu_ps(
-            xT + std::size_t{terms[t].column} * kSeqTile);
-        a0 = _mm256_add_pd(
-            a0, _mm256_mul_pd(
-                    cv, _mm256_cvtps_pd(_mm256_castps256_ps128(x))));
-        a1 = _mm256_add_pd(
-            a1, _mm256_mul_pd(
-                    cv, _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))));
-    }
-    _mm256_storeu_pd(acc, a0);
-    _mm256_storeu_pd(acc + 4, a1);
+    if (k <= 8)
+        lutDotKindAvx2<0>(idx, rows, in, table, k, x, ldx, seq, sums);
+    else if (k <= 16)
+        lutDotKindAvx2<1>(idx, rows, in, table, k, x, ldx, seq, sums);
+    else
+        lutDotKindAvx2<2>(idx, rows, in, table, k, x, ldx, seq, sums);
 }
 
 } // namespace
@@ -394,9 +461,7 @@ avx2KernelsBuild()
         layerNormRowAvx2,
         geluRowAvx2,
         tanhRowAvx2,
-        bucketAccTileAvx2,
-        centroidDotTileAvx2,
-        outlierTileAvx2,
+        lutDotAvx2,
         decodePackedRowGeneric,
     };
     return &set;

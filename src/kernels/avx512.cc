@@ -10,12 +10,14 @@
  * Cephes-style exp/tanh polynomials of the AVX2 tier, widened to 512
  * bits with mask-register blends for the special cases.
  *
- * The bucket-tile kernels run 16 sequence lanes per tile
- * (KernelSet::seqTile == 16) and keep the scalar loop's per-lane
- * double arithmetic and order exactly (convert-then-add in phase 1,
- * multiply-then-add — deliberately NOT fmadd — in phases 2/3), so the
- * quantized FC output is bit-identical to the generic tier. Widening
- * the tile adds lanes, never reassociates within one.
+ * lutDot keeps the kernels.hh numeric contract exactly: the 16
+ * partial sums are one zmm, products are rounded before the add
+ * (deliberately NOT fmadd), the in % 16 tail is a masked add, and
+ * centroid lookup is an exact vpermps (B <= 4), vpermi2ps (B = 5) or
+ * gather (B >= 6) — so the quantized FC output is bit-identical to the
+ * generic tier. A call register-blocks up to 16 tokens
+ * (KernelSet::seqTile == 16) on one looked-up weight vector, and up
+ * to four rows on one loaded activation vector.
  *
  * Packed-row decode: when the CPU also has AVX-512 VBMI, groups of 64
  * B-bit indexes (B <= 6) decode with three instructions — vpermb
@@ -52,8 +54,11 @@
 #pragma GCC diagnostic pop
 #endif
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define GOBO_VBMI_DECODE 1
@@ -344,71 +349,188 @@ tanhRowAvx512(float *row, std::size_t n)
     }
 }
 
-void
-bucketAccTileAvx512(const std::uint8_t *irow, std::size_t in,
-                    const float *xT, double *bucket, std::size_t k)
+static_assert(kLutLanes == 16,
+              "the AVX-512 lutDot holds the 16 partial sums in one zmm");
+
+/**
+ * Exact centroid lookup for 16 epi32 indexes. Kind 0: k <= 16, one
+ * vpermps; kind 1: k <= 32, vpermi2ps over two table registers;
+ * kind 2: anything larger, a gather straight from the table.
+ */
+template <int Kind>
+struct LutAvx512
 {
-    const __m512d zero = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < k; ++c) {
-        _mm512_storeu_pd(bucket + c * kTile, zero);
-        _mm512_storeu_pd(bucket + c * kTile + 8, zero);
+    __m512 lo, hi;
+    const float *table;
+
+    LutAvx512(const float *t, std::size_t k) : table(t)
+    {
+        // Entries past k are zero; indexes never reach them.
+        std::size_t n_lo = k < 16 ? k : 16;
+        std::size_t n_hi = k > 16 ? (k < 32 ? k - 16 : 16) : 0;
+        lo = _mm512_maskz_loadu_ps(
+            static_cast<__mmask16>((1u << n_lo) - 1u), t);
+        hi = _mm512_maskz_loadu_ps(
+            static_cast<__mmask16>((1u << n_hi) - 1u), t + 16);
     }
-    // Vertical adds only: lane l accumulates its activations in
-    // ascending-i order, exactly the scalar reduction, in double.
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kTile;
-        __m512 x = _mm512_loadu_ps(xT + i * kTile);
-        __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(x));
-        __m512d hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1));
-        _mm512_storeu_pd(dst,
-                         _mm512_add_pd(_mm512_loadu_pd(dst), lo));
-        _mm512_storeu_pd(dst + 8,
-                         _mm512_add_pd(_mm512_loadu_pd(dst + 8), hi));
+
+    __m512
+    operator()(__m512i iv) const
+    {
+        if constexpr (Kind == 0)
+            return _mm512_permutexvar_ps(iv, lo);
+        else if constexpr (Kind == 1)
+            return _mm512_permutex2var_ps(lo, iv, hi);
+        else
+            return _mm512_i32gather_ps(iv, table, 4);
+    }
+};
+
+/** The contract's halving tree: l += l+8, +4, +2, +1. */
+inline float
+lutTree(__m512 p)
+{
+    __m256 a = _mm256_add_ps(_mm512_castps512_ps256(p),
+                             _mm512_extractf32x8_ps(p, 1));
+    __m128 b = _mm_add_ps(_mm256_castps256_ps128(a),
+                          _mm256_extractf128_ps(a, 1));
+    b = _mm_add_ps(b, _mm_movehl_ps(b, b));
+    b = _mm_add_ss(b, _mm_shuffle_ps(b, b, 1));
+    return _mm_cvtss_f32(b);
+}
+
+/** f(integral_constant<0>), .., f(integral_constant<N-1>), unrolled so
+ * accumulator arrays index by constants and stay in registers. */
+template <std::size_t N, typename F>
+inline void
+unrolled(F &&f)
+{
+    [&]<std::size_t... T>(std::index_sequence<T...>) {
+        (f(std::integral_constant<std::size_t, T>{}), ...);
+    }(std::make_index_sequence<N>{});
+}
+
+/**
+ * lutDot for R rows x NT tokens at once: each row's 16-index group is
+ * looked up once and multiplied into every token's accumulator, and
+ * each token's activation vector is loaded once for all R rows. The
+ * in % 16 tail runs masked — mask_add leaves the lanes past `in`
+ * untouched, as the contract requires (a masked lane may look up
+ * index 0 against x = 0, which is NaN for an infinite centroid, and
+ * must not land). Row r's sums go to sums[r * sstride + t].
+ */
+template <int Kind, std::size_t R, std::size_t NT>
+void
+lutBlockAvx512(const std::uint8_t *idx, std::size_t in,
+               const LutAvx512<Kind> &lut, const float *x,
+               std::size_t ldx, float *sums, std::size_t sstride)
+{
+    __m512 acc[R][NT];
+    unrolled<R>([&](auto r) {
+        unrolled<NT>([&](auto t) { acc[r][t] = _mm512_setzero_ps(); });
+    });
+    std::size_t i = 0;
+    for (; i + 16 <= in; i += 16) {
+        __m512 w[R];
+        unrolled<R>([&](auto r) {
+            w[r] = lut(_mm512_cvtepu8_epi32(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(idx + r * in + i))));
+        });
+        unrolled<NT>([&](auto t) {
+            __m512 xv = _mm512_loadu_ps(x + t * ldx + i);
+            unrolled<R>([&](auto r) {
+                acc[r][t] =
+                    _mm512_add_ps(acc[r][t], _mm512_mul_ps(w[r], xv));
+            });
+        });
+    }
+    if (i < in) {
+        const auto m = static_cast<__mmask16>((1u << (in - i)) - 1u);
+        __m512 w[R];
+        unrolled<R>([&](auto r) {
+            w[r] = lut(_mm512_cvtepu8_epi32(
+                _mm_maskz_loadu_epi8(m, idx + r * in + i)));
+        });
+        unrolled<NT>([&](auto t) {
+            __m512 xv = _mm512_maskz_loadu_ps(m, x + t * ldx + i);
+            unrolled<R>([&](auto r) {
+                acc[r][t] = _mm512_mask_add_ps(
+                    acc[r][t], m, acc[r][t], _mm512_mul_ps(w[r], xv));
+            });
+        });
+    }
+    unrolled<R>([&](auto r) {
+        unrolled<NT>([&](auto t) {
+            sums[r * sstride + t] = lutTree(acc[r][t]);
+        });
+    });
+}
+
+/** lutBlockAvx512<Kind, R, n> for n = 1..N, indexed by n - 1. */
+template <int Kind, std::size_t R, std::size_t... N>
+constexpr auto
+lutBlocksAvx512(std::index_sequence<N...>)
+{
+    return std::array{&lutBlockAvx512<Kind, R, N + 1>...};
+}
+
+template <int Kind>
+void
+lutDotKindAvx512(const std::uint8_t *idx, std::size_t rows,
+                 std::size_t in, const float *table, std::size_t k,
+                 const float *x, std::size_t ldx, std::size_t seq,
+                 float *sums)
+{
+    static constexpr auto quads =
+        lutBlocksAvx512<Kind, 4>(std::make_index_sequence<4>{});
+    static constexpr auto pairs =
+        lutBlocksAvx512<Kind, 2>(std::make_index_sequence<8>{});
+    static constexpr auto singles =
+        lutBlocksAvx512<Kind, 1>(std::make_index_sequence<8>{});
+    const LutAvx512<Kind> lut(table, k);
+    // A full 16-token tile keeps 16 accumulators + 2 table registers +
+    // the weight vector inside the 32 zmm registers. Shorter calls
+    // block every remaining token (up to 8) on one lookup and several
+    // rows on one activation load — four rows up to 4 tokens, two up
+    // to 8 (at most 16 accumulators) — so short requests run enough
+    // independent add chains not to wait on add latency.
+    for (std::size_t s = 0; s < seq;) {
+        std::size_t n = seq - s >= 16 ? 16 : std::min<std::size_t>(
+                                                 seq - s, 8);
+        const float *xs = x + s * ldx;
+        for (std::size_t r = 0; r < rows;) {
+            const std::uint8_t *ir = idx + r * in;
+            float *out = sums + r * seq + s;
+            if (n == 16) {
+                lutBlockAvx512<Kind, 1, 16>(ir, in, lut, xs, ldx, out,
+                                            seq);
+                r += 1;
+            } else if (n <= 4 && rows - r >= 4) {
+                quads[n - 1](ir, in, lut, xs, ldx, out, seq);
+                r += 4;
+            } else if (rows - r >= 2) {
+                pairs[n - 1](ir, in, lut, xs, ldx, out, seq);
+                r += 2;
+            } else {
+                singles[n - 1](ir, in, lut, xs, ldx, out, seq);
+                r += 1;
+            }
+        }
+        s += n;
     }
 }
 
 void
-centroidDotTileAvx512(const float *centroids, std::size_t k,
-                      const double *bucket, double bias, double *acc)
+lutDotAvx512(const std::uint8_t *idx, std::size_t rows, std::size_t in,
+             const float *table, std::size_t k, const float *x,
+             std::size_t ldx, std::size_t seq, float *sums)
 {
-    __m512d a0 = _mm512_set1_pd(bias);
-    __m512d a1 = a0;
-    for (std::size_t c = 0; c < k; ++c) {
-        const __m512d cv =
-            _mm512_set1_pd(static_cast<double>(centroids[c]));
-        // mul then add, not fmadd: the scalar loop rounds the product
-        // before accumulating, and this tier promises bit-identity.
-        a0 = _mm512_add_pd(
-            a0,
-            _mm512_mul_pd(cv, _mm512_loadu_pd(bucket + c * kTile)));
-        a1 = _mm512_add_pd(
-            a1, _mm512_mul_pd(
-                    cv, _mm512_loadu_pd(bucket + c * kTile + 8)));
-    }
-    _mm512_storeu_pd(acc, a0);
-    _mm512_storeu_pd(acc + 8, a1);
-}
-
-void
-outlierTileAvx512(const OutlierTerm *terms, std::size_t count,
-                  const float *xT, double *acc)
-{
-    __m512d a0 = _mm512_loadu_pd(acc);
-    __m512d a1 = _mm512_loadu_pd(acc + 8);
-    for (std::size_t t = 0; t < count; ++t) {
-        const __m512d cv =
-            _mm512_set1_pd(static_cast<double>(terms[t].correction));
-        __m512 x = _mm512_loadu_ps(
-            xT + std::size_t{terms[t].column} * kTile);
-        a0 = _mm512_add_pd(
-            a0, _mm512_mul_pd(
-                    cv, _mm512_cvtps_pd(_mm512_castps512_ps256(x))));
-        a1 = _mm512_add_pd(
-            a1, _mm512_mul_pd(
-                    cv, _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1))));
-    }
-    _mm512_storeu_pd(acc, a0);
-    _mm512_storeu_pd(acc + 8, a1);
+    if (k <= 16)
+        lutDotKindAvx512<0>(idx, rows, in, table, k, x, ldx, seq, sums);
+    else if (k <= 32)
+        lutDotKindAvx512<1>(idx, rows, in, table, k, x, ldx, seq, sums);
+    else
+        lutDotKindAvx512<2>(idx, rows, in, table, k, x, ldx, seq, sums);
 }
 
 #ifdef GOBO_VBMI_DECODE
@@ -453,17 +575,27 @@ decodePackedRowVbmi(const std::uint8_t *bytes, std::size_t byteLen,
         bit += b;
     }
 
-    alignas(64) std::uint8_t permBytes[64];
-    alignas(64) std::uint8_t shiftBytes[64];
-    for (std::uint32_t q = 0; q < 8; ++q)
-        for (std::uint32_t p = 0; p < 8; ++p) {
-            permBytes[q * 8 + p] =
-                static_cast<std::uint8_t>(q * b + p);
-            shiftBytes[q * 8 + p] =
-                static_cast<std::uint8_t>(p * b);
-        }
-    const __m512i perm = _mm512_load_si512(permBytes);
-    const __m512i shifts = _mm512_load_si512(shiftBytes);
+    // Per-B byte gather and shift controls, built once: a packed row
+    // of 768 indexes is only 12 bulk groups, so rebuilding them per
+    // call cost more than the decode itself.
+    struct alignas(64) Controls
+    {
+        std::uint8_t perm[64], shift[64];
+    };
+    static const auto controls = [] {
+        std::array<Controls, 7> c{};
+        for (std::uint32_t w = 1; w <= 6; ++w)
+            for (std::uint32_t q = 0; q < 8; ++q)
+                for (std::uint32_t p = 0; p < 8; ++p) {
+                    c[w].perm[q * 8 + p] =
+                        static_cast<std::uint8_t>(q * w + p);
+                    c[w].shift[q * 8 + p] =
+                        static_cast<std::uint8_t>(p * w);
+                }
+        return c;
+    }();
+    const __m512i perm = _mm512_load_si512(controls[b].perm);
+    const __m512i shifts = _mm512_load_si512(controls[b].shift);
     const __m512i maskv = _mm512_set1_epi8(static_cast<char>(mask));
 
     std::size_t byte = bit / 8;
@@ -502,9 +634,7 @@ avx512KernelsBuild()
         s.layerNormRow = layerNormRowAvx512;
         s.geluRow = geluRowAvx512;
         s.tanhRow = tanhRowAvx512;
-        s.bucketAccTile = bucketAccTileAvx512;
-        s.centroidDotTile = centroidDotTileAvx512;
-        s.outlierTile = outlierTileAvx512;
+        s.lutDot = lutDotAvx512;
         s.decodePackedRow = decodePackedRowGeneric;
 #ifdef GOBO_VBMI_DECODE
         if (cpuSupportsAvx512Vbmi())

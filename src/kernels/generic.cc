@@ -2,10 +2,11 @@
  * @file
  * Generic kernel tier: portable scalar loops.
  *
- * These bodies are the pre-SIMD inner loops of tensor/ops.cc and
- * core/qexec.cc, lifted verbatim. They are the reference every other
- * tier is validated against, and the repo's historical outputs are
- * bit-identical to them — do not "optimize" a reduction order here.
+ * The dense and row bodies are the pre-SIMD inner loops of
+ * tensor/ops.cc, lifted verbatim; lutDot spells out the numeric
+ * contract of kernels.hh one lane at a time. They are the reference
+ * every other tier is validated against — do not "optimize" a
+ * reduction order here.
  */
 
 #include "kernels/kernels.hh"
@@ -114,42 +115,28 @@ tanhRowGeneric(float *row, std::size_t n)
 }
 
 void
-bucketAccTileGeneric(const std::uint8_t *irow, std::size_t in,
-                     const float *xT, double *bucket, std::size_t k)
+lutDotGeneric(const std::uint8_t *idx, std::size_t rows, std::size_t in,
+              const float *table, std::size_t /*k*/, const float *x,
+              std::size_t ldx, std::size_t seq, float *sums)
 {
-    std::fill(bucket, bucket + k * kSeqTile, 0.0);
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kSeqTile;
-        const float *src = xT + i * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            dst[l] += src[l];
-    }
-}
-
-void
-centroidDotTileGeneric(const float *centroids, std::size_t k,
-                       const double *bucket, double bias, double *acc)
-{
-    for (std::size_t l = 0; l < kSeqTile; ++l)
-        acc[l] = bias;
-    for (std::size_t c = 0; c < k; ++c) {
-        auto cv = static_cast<double>(centroids[c]);
-        const double *brow = bucket + c * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            acc[l] += cv * brow[l];
-    }
-}
-
-void
-outlierTileGeneric(const OutlierTerm *terms, std::size_t count,
-                   const float *xT, double *acc)
-{
-    for (std::size_t t = 0; t < count; ++t) {
-        auto cv = static_cast<double>(terms[t].correction);
-        const float *src = xT + std::size_t{terms[t].column} * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            acc[l] += cv * src[l];
-    }
+    // The contract one lane at a time; the SIMD tiers hold the same 16
+    // partial sums in registers.
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t s = 0; s < seq; ++s) {
+            const std::uint8_t *ir = idx + r * in;
+            const float *xs = x + s * ldx;
+            float p[kLutLanes] = {};
+            std::size_t i = 0;
+            for (; i + kLutLanes <= in; i += kLutLanes)
+                for (std::size_t l = 0; l < kLutLanes; ++l)
+                    p[l] = p[l] + table[ir[i + l]] * xs[i + l];
+            for (std::size_t l = 0; i + l < in; ++l)
+                p[l] = p[l] + table[ir[i + l]] * xs[i + l];
+            for (std::size_t half = kLutLanes / 2; half > 0; half /= 2)
+                for (std::size_t l = 0; l < half; ++l)
+                    p[l] = p[l] + p[l + half];
+            sums[r * seq + s] = p[0];
+        }
 }
 
 } // namespace
@@ -231,9 +218,7 @@ genericKernels()
         layerNormRowGeneric,
         geluRowGeneric,
         tanhRowGeneric,
-        bucketAccTileGeneric,
-        centroidDotTileGeneric,
-        outlierTileGeneric,
+        lutDotGeneric,
         decodePackedRowGeneric,
     };
     return set;

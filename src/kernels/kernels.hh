@@ -4,21 +4,21 @@
  *
  * Every hot inner loop in the repo — the dense dot/axpy kernels under
  * matmul/linear/attention, the row ops (softmax, layernorm, GELU,
- * tanh), the sequence-tiled bucket kernel that executes the GOBO
+ * tanh), the centroid-lookup dot product that executes the GOBO
  * compressed format, and the packed-index row decoder — is reached
  * through a KernelSet of function pointers. Three tiers exist:
  *
- *   generic  scalar loops with exactly the pre-SIMD reduction order;
- *            bit-identical to the historical outputs by construction.
+ *   generic  scalar loops with exactly the pre-SIMD reduction order
+ *            for the dense/row kernels, and the lookup contract below
+ *            spelled out one lane at a time.
  *   avx2     AVX2+FMA vectorized kernels. The dense and row kernels
  *            reassociate float reductions (and fuse multiply-adds), so
- *            they match generic only to tolerance; the quantized
- *            bucket-tile kernels keep the per-lane double arithmetic
- *            and order of the scalar loop and stay bit-identical.
+ *            they match generic only to tolerance; lutDot keeps its
+ *            16 partial sums in two ymm and stays bit-identical.
  *   avx512   AVX-512 F+BW+DQ+VL kernels: 16-wide dense/row kernels
- *            with masked tails, 16-lane bucket-tile kernels, and —
- *            when the CPU also has VBMI — an in-register packed-row
- *            decoder (vpermb + vpmultishiftqb) for B <= 6.
+ *            with masked tails, a one-zmm lutDot, and — when the CPU
+ *            also has VBMI — an in-register packed-row decoder
+ *            (vpermb + vpmultishiftqb) for B <= 6.
  *
  * The active tier is chosen once at startup: cpuid picks the best
  * supported tier, and the GOBO_KERNEL environment variable
@@ -28,13 +28,12 @@
  *
  * Determinism contract (DESIGN.md §11): thread counts and
  * Packed/Unpacked formats are bit-identical *within* a tier; across
- * tiers, quantized FC outputs are bit-identical while dense ops carry
- * tolerance-level differences. The sequence tile width is a per-tier
- * property (KernelSet::seqTile) — lanes are independent sequence
- * positions, so widening the tile cannot change per-lane arithmetic.
- * Row decode produces exact bytes (a pure function of the packed
- * stream), so every tier's decoder is interchangeable. NaN and Inf
- * propagate through every kernel in every tier.
+ * tiers, quantized FC outputs are bit-identical (lutDot has one
+ * numeric contract, and centroid lookup is exact) while dense ops
+ * carry tolerance-level differences. Row decode produces exact bytes
+ * (a pure function of the packed stream), so every tier's decoder is
+ * interchangeable. NaN and Inf propagate through every kernel in
+ * every tier.
  */
 
 #ifndef GOBO_KERNELS_KERNELS_HH
@@ -47,36 +46,24 @@
 namespace gobo {
 
 /**
- * Default lane count of the sequence-tiled bucket kernels, and the
- * width of the generic and avx2 tiers. The *active* width is the
- * per-tier KernelSet::seqTile (16 for avx512); tile buffers
- * (transposed activations, buckets, accumulators) are allocated and
- * strided at the executing tier's width. kMaxSeqTile bounds every
- * tier's width so stack accumulators can be sized statically.
+ * Default register-block width of lutDot (tokens that share one
+ * decoded index vector per call) and the width of the generic and
+ * avx2 tiers. The *active* width is the per-tier KernelSet::seqTile
+ * (16 for avx512); kMaxSeqTile bounds every tier's width so per-call
+ * sum buffers can be sized statically.
  */
 inline constexpr std::size_t kSeqTile = 8;
 inline constexpr std::size_t kMaxSeqTile = 16;
 
 /**
- * One outlier's contribution to a quantized FC row: the weight sits at
- * `column`, and `correction` is w - centroid[assigned index] (the index
- * under an outlier still feeds its centroid through the bucket sums).
+ * Partial sums of lutDot's numeric contract: one per i mod kLutLanes.
+ * Fixed for every tier — it is part of the contract, not a vector
+ * width.
  */
-struct OutlierTerm
-{
-    std::uint32_t column;
-    float correction;
-};
+inline constexpr std::size_t kLutLanes = 16;
 
-/**
- * One dispatchable kernel tier. All pointers are non-null in every
- * registered tier. Buffer contracts:
- *
- *   - xT is a transposed activation tile: seqTile floats per input
- *     feature, laid out [i][lane], zero-padded in unused lanes.
- *   - bucket is k * seqTile doubles, [centroid][lane].
- *   - acc is seqTile doubles, one per lane.
- */
+/** One dispatchable kernel tier. All pointers are non-null in every
+ * registered tier. */
 struct KernelSet
 {
     /** Tier name: "generic", "avx2", or "avx512". */
@@ -84,14 +71,13 @@ struct KernelSet
     /**
      * True when the dense/row kernels reassociate float math (SIMD
      * tiers); false when every kernel keeps the exact scalar order.
-     * The bucket-tile kernels are bit-identical across tiers either
-     * way.
+     * lutDot is bit-identical across tiers either way.
      */
     bool reassociates;
     /**
-     * Sequence lanes per bucket tile for this tier (<= kMaxSeqTile).
-     * Tiling, scratch strides, and the 2-D partitioner all follow this
-     * width; the tile kernels below hard-code it internally.
+     * Tokens per lutDot call for this tier (<= kMaxSeqTile): the
+     * register-block width qexec hands the kernel at once, and the
+     * default lane count of the serve batch former's tiles.
      */
     std::size_t seqTile;
 
@@ -112,27 +98,26 @@ struct KernelSet
     void (*tanhRow)(float *row, std::size_t n);
 
     /**
-     * Phase 1 of the compressed-domain FC: overwrite bucket with the
-     * per-centroid activation sums of one weight row against one
-     * activation tile. Per lane, bucket[irow[i]] accumulates xT lanes
-     * in ascending-i order — the scalar order, in double.
+     * Compressed-domain dot products of `rows` weight rows against
+     * `seq` activation rows: `idx` holds each row's `in` decoded
+     * centroid indexes (each < k; row r starts at idx + r * in),
+     * `table` the k centroids, and token s reads x[s * ldx + i]. For
+     * each (row r, token s), sums[r * seq + s] is
+     *
+     *   p[0..15] = +0;  p[i mod 16] = p[i mod 16] + table[idx[i]] * x[i]
+     *                   for i = 0, 1, .., in-1   (fp32, multiply then
+     *                   add, never fused; lanes past the last i stay
+     *                   untouched)
+     *   l += l+8, then l += l+4, l += l+2, l += l+1 over p; sum = p[0]
+     *
+     * Every tier computes exactly these bits. Tiers differ only in
+     * how they look the centroids up (always exact) and in how many
+     * rows and tokens share one register block.
      */
-    void (*bucketAccTile)(const std::uint8_t *irow, std::size_t in,
-                          const float *xT, double *bucket,
-                          std::size_t k);
-    /**
-     * Phase 2: acc[l] = bias + sum_c centroids[c] * bucket[c][l] in
-     * ascending-c order (double multiply then add, never fused).
-     */
-    void (*centroidDotTile)(const float *centroids, std::size_t k,
-                            const double *bucket, double bias,
-                            double *acc);
-    /**
-     * Phase 3: acc[l] += correction * xT[column][l] for each outlier
-     * term in order (double multiply then add, never fused).
-     */
-    void (*outlierTile)(const OutlierTerm *terms, std::size_t count,
-                        const float *xT, double *acc);
+    void (*lutDot)(const std::uint8_t *idx, std::size_t rows,
+                   std::size_t in, const float *table, std::size_t k,
+                   const float *x, std::size_t ldx, std::size_t seq,
+                   float *sums);
 
     /**
      * Expand `n` consecutive `bits`-wide indexes, starting `bitOffset`

@@ -150,22 +150,13 @@ TEST_F(ModelBitIdentity, QuantizedLinearForward)
     Tensor parallel = qmodel.encode(ExecContext::parallel(8), batch[0]);
     expectBitIdentical(serial, parallel);
 
-    // Runtime op accounting matches the analytic counts and is
-    // backend-independent.
+    // One layer on its own, too.
     Tensor x = randomTensor(5, model.config().hidden, 20);
     QuantizedLinear layer(
         quantizeTensor(model.encoders[0].queryW, qopt.base),
         model.encoders[0].queryB);
-    OpCounts serial_ops, parallel_ops;
-    Tensor y1 = layer.forward(ExecContext::serial(), x, &serial_ops);
-    Tensor y2 = layer.forward(ExecContext::parallel(8), x,
-                              &parallel_ops);
-    expectBitIdentical(y1, y2);
-    EXPECT_EQ(serial_ops.additions, parallel_ops.additions);
-    EXPECT_EQ(serial_ops.multiplications, parallel_ops.multiplications);
-    auto analytic = layer.opCounts(x.rows());
-    EXPECT_EQ(serial_ops.additions, analytic.additions);
-    EXPECT_EQ(serial_ops.multiplications, analytic.multiplications);
+    expectBitIdentical(layer.forward(ExecContext::serial(), x),
+                       layer.forward(ExecContext::parallel(8), x));
 }
 
 TEST_F(ModelBitIdentity, SessionSingleVsBatchedVsSerial)

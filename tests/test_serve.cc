@@ -425,7 +425,7 @@ TEST(Serve, GoldenTraceMatchesCommittedBaseline)
                   "queue wait p99");
     }
 
-    EXPECT_EQ(sum.responseChecksum, 0x2b9d75b6915874aeULL);
+    EXPECT_EQ(sum.responseChecksum, 0xe20da9a2962f43cfULL);
 }
 
 TEST(Serve, JsonReportIsWellFormed)
