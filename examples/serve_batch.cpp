@@ -129,36 +129,19 @@ main(int argc, char **argv)
                 threads, pt.tokensPerSec / st.tokensPerSec);
 
     // The compressed-domain engine serves from the GOBO format
-    // directly — same session API, no decode step. Unpacked widens
-    // every 3-bit index to a byte; Packed keeps the 3-bit stream
-    // resident and decodes rows inside the kernel. Same logits, ~2.7x
-    // fewer weight bytes streamed.
+    // directly — same session API, no decode step up front. Only the
+    // 3-bit index stream stays resident; rows are decoded on the fly.
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
     qopt.threads = threads;
-    InferenceSession unpacked(QuantizedBertModel(model, qopt),
-                              ExecContext::parallel(threads));
-    qopt.format = WeightFormat::Packed;
     InferenceSession packed(QuantizedBertModel(model, qopt),
                             ExecContext::parallel(threads));
 
-    // Format contract: Packed and Unpacked logits agree bit for bit.
-    auto qu = unpacked.headLogitsBatch(batch);
-    auto qp = packed.headLogitsBatch(batch);
-    identical = true;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        for (std::size_t j = 0; j < qu[i].size(); ++j)
-            identical &= qu[i](j) == qp[i](j);
-    std::printf("packed == unpacked logits:  %s\n",
-                identical ? "bit-identical" : "MISMATCH");
-
-    ServeStats ut = serve(unpacked, batch, reps);
     ServeStats qt = serve(packed, batch, reps);
-    printStats("qexec unpacked:", ut);
     printStats("qexec packed:  ", qt);
     std::printf("                (3-bit weights, resident %zu /"
-                " %zu KiB)\n",
-                unpacked.residentWeightBytes() / 1024,
-                packed.residentWeightBytes() / 1024);
+                " %zu KiB fp32)\n",
+                packed.residentWeightBytes() / 1024,
+                serial.residentWeightBytes() / 1024);
     return 0;
 }

@@ -10,28 +10,17 @@
 #include "obs/observer.hh"
 #include "obs/probe.hh"
 #include "tensor/ops.hh"
-#include "util/bitstream.hh"
 #include "util/logging.hh"
 
 namespace gobo {
 
 QuantizedLinear::QuantizedLinear(QuantizedTensor w, Tensor b,
-                                 WeightFormat format, std::string name)
-    : weights(std::move(w)), bias(std::move(b)), fmt(format),
-      label(std::move(name)), scratchId(nextScratchOwnerId())
+                                 std::string name)
+    : weights(std::move(w)), bias(std::move(b)), label(std::move(name))
 {
     weights.check();
     fatalIf(bias.size() != weights.rows, "QuantizedLinear bias size ",
             bias.size(), " != out features ", weights.rows);
-
-    if (fmt == WeightFormat::Unpacked) {
-        // Widen the index stream once; B <= 8 so a byte per weight.
-        auto idx32 = unpackIndexes(weights.packedIndexes, weights.bits,
-                                   weights.elementCount());
-        indexes.reserve(idx32.size());
-        for (auto v : idx32)
-            indexes.push_back(static_cast<std::uint8_t>(v));
-    }
 
     // Group outlier corrections by row. The index slot under an
     // outlier still contributes its centroid through lutDot, so the
@@ -49,16 +38,6 @@ QuantizedLinear::QuantizedLinear(QuantizedTensor w, Tensor b,
     }
     for (std::size_t r = 0; r < weights.rows; ++r)
         outlierRowStart[r + 1] += outlierRowStart[r];
-}
-
-void
-QuantizedLinear::decodeRow(const KernelSet &kn, std::size_t row,
-                           std::uint8_t *out) const
-{
-    const std::size_t n = weights.cols;
-    kn.decodePackedRow(weights.packedIndexes.data(),
-                       weights.packedIndexes.size(),
-                       row * n * weights.bits, weights.bits, n, out);
 }
 
 Tensor
@@ -80,16 +59,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         obs->metrics.add(obs->qexecBytesStreamed, residentBytes());
         obs->metrics.add(obs->qexecOutlierCorrections,
                          seq * outliers.size());
-        if (fmt == WeightFormat::Unpacked)
-            obs->metrics.add(obs->qexecDecodeUnpacked);
-        else if (8 % weights.bits == 0)
-            obs->metrics.add(obs->qexecDecodeLut);
-        else if (weights.bits == 3)
-            obs->metrics.add(obs->qexecDecodeGroup24);
-        else
-            obs->metrics.add(obs->qexecDecodeScalar);
-        if (fmt == WeightFormat::Packed)
-            obs->metrics.add(obs->qexecRowsDecoded, out);
+        obs->metrics.add(obs->qexecRowsDecoded, out);
 
         // Per-layer mirrors of the traffic counters, keyed by the span
         // label — the measured inputs of memsim's per-layer energy
@@ -99,8 +69,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         obs->metrics.add(lids.bytesStreamed, residentBytes());
         obs->metrics.add(lids.outlierCorrections,
                          seq * outliers.size());
-        if (fmt == WeightFormat::Packed)
-            obs->metrics.add(lids.rowsDecoded, out);
+        obs->metrics.add(lids.rowsDecoded, out);
     }
 
     // Token-blocked execution: each lutDot call runs a chunk of weight
@@ -128,14 +97,9 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     // independently of the others, so the partition — and the thread
     // count — cannot change a bit of the output.
     //
-    // For Packed layers the whole row block is decoded into the
-    // calling thread's scratch arena (exec/scratch.hh), whose
-    // multi-slot cache lets consecutive token-block tasks of one row
-    // block decode it only once. Nothing on this path allocates after
-    // warm-up.
-    bool packed = fmt == WeightFormat::Packed;
-    const Observer::QexecLayerIds *lids_ptr =
-        ctx.obs && packed ? &ctx.obs->layerIds(label) : nullptr;
+    // Each task decodes its whole row block once, before its token
+    // loop, into the calling thread's decode buffer (exec/scratch.hh).
+    // Nothing on this path allocates after warm-up.
     std::size_t target = ctx.isParallel() ? ctx.threads * 4 : 1;
     std::size_t rblocks = std::min(out, target);
     std::size_t tblocks = 1;
@@ -157,28 +121,12 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         std::size_t s1 = std::min(s0 + tblock * tile_w, seq);
         if (o0 >= o1 || s0 >= s1)
             return;
-        const std::uint8_t *rows = nullptr;
-        if (packed) {
-            struct DecodeCtx
-            {
-                const QuantizedLinear *layer;
-                const KernelSet *kn;
-            } dctx{this, &kn};
-            bool hit = false;
-            rows = execScratch().decodedRows(
-                scratchId, rb, o0, o1, in,
-                [](const void *c, std::size_t row, std::uint8_t *dst) {
-                    const auto *d = static_cast<const DecodeCtx *>(c);
-                    d->layer->decodeRow(*d->kn, row, dst);
-                },
-                &dctx, &hit);
-            // Sharded counters are thread-safe, so tasks report their
-            // cache outcome directly (in rows, matching rows_decoded).
-            if (lids_ptr)
-                ctx.obs->metrics.add(hit ? lids_ptr->decodeCacheHits
-                                         : lids_ptr->decodeCacheMisses,
-                                     o1 - o0);
-        }
+        std::uint8_t *rows = decodeScratch(o1 - o0, in);
+        for (std::size_t o = o0; o < o1; ++o)
+            kn.decodePackedRow(weights.packedIndexes.data(),
+                               weights.packedIndexes.size(),
+                               o * in * weights.bits, weights.bits, in,
+                               rows + (o - o0) * in);
         // Token blocks outer, rows inner: one block's activation rows
         // stay cache-resident while the row block streams past them,
         // kRowChunk rows per kernel call.
@@ -188,11 +136,9 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
             std::size_t n = std::min(tile_w, s1 - b0);
             for (std::size_t c0 = o0; c0 < o1; c0 += kRowChunk) {
                 std::size_t nr = std::min(kRowChunk, o1 - c0);
-                const std::uint8_t *irows = packed
-                                                ? rows + (c0 - o0) * in
-                                                : indexes.data() + c0 * in;
-                kn.lutDot(irows, nr, in, weights.centroids.data(), k,
-                          x.row(b0).data(), in, n, sums);
+                kn.lutDot(rows + (c0 - o0) * in, nr, in,
+                          weights.centroids.data(), k, x.row(b0).data(),
+                          in, n, sums);
                 for (std::size_t r = 0; r < nr; ++r) {
                     std::size_t o = c0 + r;
                     const OutlierTerm *terms =
@@ -247,12 +193,8 @@ QuantizedLinear::denseOpCounts(std::size_t seq) const
 std::size_t
 QuantizedLinear::residentBytes() const
 {
-    std::size_t n = weights.elementCount();
-    std::size_t c = weights.centroids.size();
-    std::size_t o = outliers.size();
-    return fmt == WeightFormat::Packed
-               ? packedResidentBytes(n, weights.bits, c, o)
-               : unpackedResidentBytes(n, c, o);
+    return packedResidentBytes(weights.elementCount(), weights.bits,
+                               weights.centroids.size(), outliers.size());
 }
 
 namespace {
@@ -267,8 +209,7 @@ makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
         kind == FcKind::Pooler
             ? fcKindName(kind)
             : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
-    return {quantizeTensor(w, cfg), b, options.format,
-            std::move(label)};
+    return {quantizeTensor(w, cfg), b, std::move(label)};
 }
 
 } // namespace
@@ -276,7 +217,6 @@ makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
 QuantizedBertModel::QuantizedBertModel(const BertModel &model,
                                        const ModelQuantOptions &options)
     : cfg(model.config()),
-      fmt(options.format),
       wordEmbedding(model.wordEmbedding),
       positionEmbedding(model.positionEmbedding),
       embLnGamma(model.embLnGamma),

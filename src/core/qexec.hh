@@ -59,17 +59,14 @@ struct OpCounts
  * y = x * W^T + bias with W held as (indexes, centroid table,
  * outliers) — never decoded to FP32.
  *
- * The index stream can be held in either WeightFormat: Unpacked widens
- * every index to one byte at construction (decode-free access, ~8/B
- * times the container bytes resident); Packed keeps only the B-bit
- * stream resident and decodes one output row at a time through the
- * executing tier's KernelSet::decodePackedRow — the generic decoder
- * uses a per-byte LUT (B dividing 8), a per-3-byte-group extraction
- * (B = 3), or a scalar two-byte window (B = 5..7); the avx512 tier
- * expands 64 indexes at a time in-register for B <= 6. Decode is
- * integer-exact, so every tier produces identical bytes, and both
- * formats feed the identical lutDot/correction arithmetic — outputs
- * are bit-identical across formats and tiers.
+ * Only the B-bit index stream stays resident. Output rows are decoded
+ * through the executing tier's KernelSet::decodePackedRow — the
+ * generic decoder uses a per-byte LUT (B dividing 8), a per-3-byte-
+ * group extraction (B = 3), or a scalar two-byte window (B = 5..7);
+ * the avx512 tier expands 64 indexes at a time in-register for
+ * B <= 6. Decode is integer-exact, so every tier produces identical
+ * bytes and feeds them to the same lutDot/correction arithmetic —
+ * outputs are bit-identical across tiers.
  */
 class QuantizedLinear
 {
@@ -80,31 +77,25 @@ class QuantizedLinear
      * ("enc[e].query" etc. when built by QuantizedBertModel).
      */
     QuantizedLinear(QuantizedTensor weights, Tensor bias,
-                    WeightFormat format = WeightFormat::Unpacked,
                     std::string label = "qlinear");
 
     /**
      * Forward pass straight from the compressed form: x is [seq, in].
-     * Each weight row is decoded once (Packed) and run through the
-     * context tier's lutDot against up to seqTile tokens at a time;
-     * bias and the row's outlier corrections are then added in double,
-     * in row order. Parallelizes over a 2-D output-row-block ×
-     * token-block grid on the context's threads, with per-worker
-     * scratch arenas (exec/scratch.hh) holding the decoded packed
-     * rows — the hot path never allocates. Every y(s, o) is computed
-     * on its own by exactly one grid cell under one numeric contract
-     * (DESIGN.md §11), so weight formats, kernel tiers AND thread
-     * counts are all bit-identical here.
+     * Parallelizes over a 2-D output-row-block × token-block grid on
+     * the context's threads. Each task decodes its row block once
+     * into the thread's decode buffer (exec/scratch.hh) — the hot
+     * path never allocates — and runs it through the context tier's
+     * lutDot against up to seqTile tokens at a time; bias and the
+     * row's outlier corrections are then added in double, in row
+     * order. Every y(s, o) is computed on its own by exactly one grid
+     * cell under one numeric contract (DESIGN.md §11), so kernel
+     * tiers AND thread counts are bit-identical here.
      *
      * With an observer on the context, each call records one span
-     * (named by `label`) plus qexec.* counters: rows decoded, weight
-     * bytes streamed, outlier corrections applied, which decode
-     * path ran (decode.lut / decode.group24 / decode.scalar /
-     * decode.unpacked), and per-layer decoded-row cache hits/misses
-     * (qexec.layer.<label>.decode_cache_hits/_misses — how the
-     * pooler's cross-forward cache residency shows up in metrics).
-     * Instrumentation happens outside the kernel loops and never
-     * touches float math.
+     * (named by `label`) plus qexec.* counters, global and per layer:
+     * forwards, rows decoded, weight bytes streamed and outlier
+     * corrections applied. Instrumentation happens outside the kernel
+     * loops and never touches float math.
      */
     Tensor forward(const ExecContext &ctx, const Tensor &x) const;
     Tensor forward(const Tensor &x) const;
@@ -129,17 +120,13 @@ class QuantizedLinear
     /** The compressed weights (for storage accounting). */
     const QuantizedTensor &compressed() const { return weights; }
 
-    /** How the index stream is held at runtime. */
-    WeightFormat format() const { return fmt; }
-
     /** Trace-span name for this layer. */
     const std::string &spanLabel() const { return label; }
 
     /**
      * Bytes of weight state the forward pass actually streams: the
-     * index store in its runtime format plus the centroid table and
-     * outlier pairs (bias excluded, matching the paper's FC-weights
-     * accounting).
+     * packed index stream plus the centroid table and outlier pairs
+     * (bias excluded, matching the paper's FC-weights accounting).
      */
     std::size_t residentBytes() const;
 
@@ -154,21 +141,9 @@ class QuantizedLinear
         float correction;
     };
 
-    /** Decode row `row`'s `cols` indexes from the packed stream via
-     * tier `kn`'s decoder (any tier yields identical bytes). */
-    void decodeRow(const KernelSet &kn, std::size_t row,
-                   std::uint8_t *out) const;
-
     QuantizedTensor weights;
     Tensor bias;
-    WeightFormat fmt;
     std::string label;
-    /** Process-unique tag for this layer's rows in the scratch-arena
-     * decode cache (exec/scratch.hh); never a pointer, so a layer
-     * reusing a freed layer's address cannot alias its cache. */
-    std::uint64_t scratchId;
-    /** Unpacked per-weight centroid indexes, row-major (Unpacked only). */
-    std::vector<std::uint8_t> indexes;
     /** One (column, correction) pair per outlier, grouped by row. */
     std::vector<OutlierTerm> outliers;
     std::vector<std::uint32_t> outlierRowStart; ///< rows+1 offsets.
@@ -178,8 +153,7 @@ class QuantizedLinear
  * A whole model executing its FC layers from the compressed format.
  * Embeddings/biases/norms stay FP32 (as in the paper); the forward
  * pass mirrors nn/encoder exactly, so predictions match a decoded
- * model up to FP reassociation. All FC layers share one WeightFormat
- * (options.format); Packed and Unpacked models are bit-identical.
+ * model up to FP reassociation.
  */
 class QuantizedBertModel
 {
@@ -222,9 +196,6 @@ class QuantizedBertModel
     void forEachLayer(
         const std::function<void(const QuantizedLinear &)> &fn) const;
 
-    /** The runtime index format every FC layer uses. */
-    WeightFormat format() const { return fmt; }
-
     const ModelConfig &config() const { return cfg; }
 
   private:
@@ -235,7 +206,6 @@ class QuantizedBertModel
     };
 
     ModelConfig cfg;
-    WeightFormat fmt;
     Tensor wordEmbedding, positionEmbedding, embLnGamma, embLnBeta;
     std::vector<EncoderLayers> encoders;
     QuantizedLinear pooler;

@@ -20,7 +20,6 @@
 
 #include "core/cluster.hh"
 #include "core/qtensor.hh"
-#include "exec/context.hh"
 #include "model/config.hh"
 #include "model/model.hh"
 #include "tensor/tensor.hh"
@@ -60,6 +59,16 @@ QuantizedTensor quantizeTensor(const Tensor &weights,
                                const GoboConfig &config,
                                LayerQuantStats *stats = nullptr);
 
+/**
+ * How a compressed-domain engine holds its weight indexes: the B-bit
+ * stream stays resident and rows are decoded on the fly. One value,
+ * so not a choice; kept for perfbench/engine.cc:330.
+ */
+enum class WeightFormat
+{
+    Packed,
+};
+
 /** Model-level options: a base config plus per-layer overrides. */
 struct ModelQuantOptions
 {
@@ -83,13 +92,8 @@ struct ModelQuantOptions
      * matching the paper's deployment claim.
      */
     std::size_t threads = 1;
-    /**
-     * Runtime index format for compressed-domain engines built from
-     * these options (QuantizedBertModel). Packed keeps the B-bit
-     * stream resident; Unpacked widens to a byte per weight. The two
-     * are bit-identical on outputs.
-     */
-    WeightFormat format = WeightFormat::Unpacked;
+    /** Always Packed; kept for perfbench/engine.cc:330. */
+    WeightFormat format = WeightFormat::Packed;
 
     /** Effective width for one layer. */
     unsigned effectiveBits(FcKind kind, std::size_t encoder) const;

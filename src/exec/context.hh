@@ -26,29 +26,6 @@ class Observer;   // obs/observer.hh; contexts only carry the pointer.
 struct KernelSet; // kernels/kernels.hh; contexts only carry the pointer.
 
 /**
- * How a compressed-domain engine holds its weight indexes at runtime.
- *
- * Unpacked trades memory for decode-free access: every B-bit index is
- * widened to one byte at load time, so a 3-bit model streams ~2.7x the
- * bytes its container occupies. Packed keeps the B-bit stream resident
- * — the paper's memory-traffic story — and decodes rows on the fly
- * ahead of the centroid-lookup kernel. Both formats are bit-identical
- * on outputs; the choice only moves bytes.
- */
-enum class WeightFormat
-{
-    Unpacked, ///< one byte per weight index, decoded at load time.
-    Packed,   ///< the B-bit index stream stays resident.
-};
-
-/** Printable weight-format name. */
-inline const char *
-weightFormatName(WeightFormat f)
-{
-    return f == WeightFormat::Unpacked ? "unpacked" : "packed";
-}
-
-/**
  * The execution environment a forward pass runs in: a parallelism
  * budget and the pool that provides the workers. Cheap to copy;
  * default-constructed it runs one thread inline, so existing

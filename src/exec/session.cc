@@ -104,12 +104,6 @@ InferenceSession::model() const
     return *fp32;
 }
 
-WeightFormat
-InferenceSession::weightFormat() const
-{
-    return quantized ? quantized->format() : WeightFormat::Unpacked;
-}
-
 std::size_t
 InferenceSession::residentWeightBytes() const
 {

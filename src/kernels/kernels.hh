@@ -26,11 +26,10 @@
  * optional per-context override for tests and tools; a null pointer
  * means the process-wide active tier.
  *
- * Determinism contract (DESIGN.md §11): thread counts and
- * Packed/Unpacked formats are bit-identical *within* a tier; across
- * tiers, quantized FC outputs are bit-identical (lutDot has one
- * numeric contract, and centroid lookup is exact) while dense ops
- * carry tolerance-level differences. Row decode produces exact bytes
+ * Determinism contract (DESIGN.md §11): thread counts are
+ * bit-identical *within* a tier; across tiers, quantized FC outputs
+ * are bit-identical (lutDot has one numeric contract, and centroid
+ * lookup is exact) while dense ops carry tolerance-level differences. Row decode produces exact bytes
  * (a pure function of the packed stream), so every tier's decoder is
  * interchangeable. NaN and Inf propagate through every kernel in
  * every tier.

@@ -115,10 +115,10 @@ struct LayerAttribution
 /**
  * Attribute energy and bandwidth-bound latency to each layer from its
  * measured traffic. Unlike estimate(), the weight bytes here are what
- * the execution engine streamed (compressed container bytes for
- * Packed, widened indexes for Unpacked) — the analytical on-chip
- * activation term has no measured counterpart and is deliberately
- * excluded, so totals cover DRAM + compute only.
+ * the execution engine streamed (the packed index stream plus its
+ * centroid table and outliers) — the analytical on-chip activation
+ * term has no measured counterpart and is deliberately excluded, so
+ * totals cover DRAM + compute only.
  */
 std::vector<LayerAttribution>
 attributeMeasured(const std::vector<MeasuredTraffic> &traffic,

@@ -31,13 +31,6 @@ tableAndOutlierBytes(std::size_t centroid_count, std::size_t outlier_count)
 } // namespace
 
 std::size_t
-unpackedResidentBytes(std::size_t elements, std::size_t centroid_count,
-                      std::size_t outlier_count)
-{
-    return elements + tableAndOutlierBytes(centroid_count, outlier_count);
-}
-
-std::size_t
 packedResidentBytes(std::size_t elements, unsigned bits,
                     std::size_t centroid_count, std::size_t outlier_count)
 {

@@ -34,19 +34,11 @@ Footprint footprint(const ModelConfig &config,
                     std::size_t sequence_length = 128);
 
 /**
- * Resident bytes of one compressed FC matrix executed in the Unpacked
- * format: one byte per widened index, plus the FP32 centroid table and
- * the per-outlier (u32 column, f32 correction) pairs the kernel holds.
- */
-std::size_t unpackedResidentBytes(std::size_t elements,
-                                  std::size_t centroid_count,
-                                  std::size_t outlier_count);
-
-/**
- * Resident bytes of the same matrix executed in the Packed format: the
- * B-bit index stream stays packed (`ceil(elements * bits / 8)` bytes),
- * so the resident set is ~bits/32 of FP32 plus the same centroid-table
- * and outlier overhead — the ratio the paper's Table II implies.
+ * Resident bytes of one compressed FC matrix as the engine executes
+ * it: the B-bit index stream stays packed (`ceil(elements * bits / 8)`
+ * bytes), plus the FP32 centroid table and the per-outlier (u32
+ * column, f32 correction) pairs the kernel holds. The resident set is
+ * ~bits/32 of FP32 — the ratio the paper's Table II implies.
  */
 std::size_t packedResidentBytes(std::size_t elements, unsigned bits,
                                 std::size_t centroid_count,

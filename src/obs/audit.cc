@@ -135,7 +135,6 @@ auditModel(const BertModel &model, const AuditOptions &options)
     AuditReport report;
     report.model = model.config().name;
     report.bits = options.quant.base.bits;
-    report.format = options.quant.format;
     report.sequences = options.sequences;
     report.seqLen = options.seqLen;
     report.seed = options.seed;
@@ -280,8 +279,7 @@ writeAuditJson(const AuditReport &r, std::ostream &os)
 {
     os << "{\n  \"schema\": \"gobo-audit-v2\",\n  \"model\": \""
        << jsonEscape(r.model) << "\",\n  \"bits\": " << r.bits
-       << ",\n  \"format\": \"" << weightFormatName(r.format)
-       << "\",\n  \"workload\": {\"sequences\": " << r.sequences
+       << ",\n  \"workload\": {\"sequences\": " << r.sequences
        << ", \"seq_len\": " << r.seqLen << ", \"seed\": " << r.seed
        << "},\n  \"fidelity\": [";
     bool first = true;
@@ -370,8 +368,8 @@ writeAuditJson(const AuditReport &r, std::ostream &os)
 void
 printAuditReport(const AuditReport &r, std::ostream &os)
 {
-    os << "audit: " << r.model << ", " << r.bits << "b base, "
-       << weightFormatName(r.format) << " format, " << r.sequences
+    os << "audit: " << r.model << ", " << r.bits << "b base, packed, "
+       << r.sequences
        << " x " << r.seqLen << " tokens (seed " << r.seed << ")\n\n";
 
     ConsoleTable fid({"Layer", "Bits", "Outliers", "L1", "MSE",

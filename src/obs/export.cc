@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 
-#include "exec/scratch.hh"
 #include "exec/threadpool.hh"
 #include "util/table.hh"
 
@@ -217,21 +216,6 @@ appendPoolCounters(MetricsSnapshot &snap, const PoolTelemetry &pool)
 }
 
 void
-appendScratchCounters(MetricsSnapshot &snap, const ScratchStats &s)
-{
-    auto put = [&](std::string name, std::uint64_t value) {
-        snap.counters.push_back({std::move(name), value});
-    };
-    put("scratch.arenas", s.arenas);
-    put("scratch.bytes_reserved", s.bytesReserved);
-    put("scratch.decode_row_hits", s.decodeRowHits);
-    put("scratch.decode_row_misses", s.decodeRowMisses);
-    put("scratch.decode_cache_bytes", s.decodeCacheBytes);
-    put("scratch.decode_cache_capacity", s.decodeCacheCapacity);
-    put("scratch.decode_cache_evictions", s.decodeCacheEvictions);
-}
-
-void
 appendTraceCounters(MetricsSnapshot &snap, const Tracer &tracer)
 {
     snap.counters.push_back(
@@ -259,23 +243,6 @@ appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu)
     snap.gauges.push_back({"pmu.ipc", pmu.ipc()});
     snap.gauges.push_back({"pmu.llc_miss_ratio", pmu.llcMissRatio()});
     snap.gauges.push_back({"pmu.llc_miss_gbps", pmu.llcMissGBps()});
-}
-
-void
-appendScratchGauges(MetricsSnapshot &snap, const ScratchStats &s)
-{
-    std::uint64_t lookups = s.decodeRowHits + s.decodeRowMisses;
-    if (lookups == 0)
-        return;
-    snap.gauges.push_back(
-        {"scratch.decode_row_hit_rate",
-         static_cast<double>(s.decodeRowHits) /
-             static_cast<double>(lookups)});
-    if (s.decodeCacheCapacity > 0)
-        snap.gauges.push_back(
-            {"scratch.decode_cache_fill",
-             static_cast<double>(s.decodeCacheBytes) /
-                 static_cast<double>(s.decodeCacheCapacity)});
 }
 
 std::vector<SpanSummary>

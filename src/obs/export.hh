@@ -26,7 +26,6 @@
 namespace gobo {
 
 struct PoolTelemetry;
-struct ScratchStats;
 
 /**
  * Write `tracer`'s events as Chrome trace-event JSON
@@ -53,14 +52,6 @@ void writeMetricsJson(const MetricsSnapshot &snap, std::ostream &os);
 void appendPoolCounters(MetricsSnapshot &snap, const PoolTelemetry &pool);
 
 /**
- * Fold scratch-arena statistics (exec/scratch.hh) into `snap` as
- * `scratch.*` counters: live arenas, bytes reserved, decoded-row
- * cache hits/misses, and the cache's held bytes, budgeted capacity,
- * and eviction count (`scratch.decode_cache_*`).
- */
-void appendScratchCounters(MetricsSnapshot &snap, const ScratchStats &s);
-
-/**
  * Fold tracer health into `snap` as `trace.*` counters — today just
  * `trace.dropped_events`, the spans discarded because a per-thread
  * buffer filled. Nonzero means every trace-derived number (span
@@ -78,15 +69,6 @@ void appendTraceCounters(MetricsSnapshot &snap, const Tracer &tracer);
  * counters diff between PMU-on and PMU-off runs stays readable.
  */
 void appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu);
-
-/**
- * Derive the decoded-row cache gauges from scratch counters:
- * `scratch.decode_row_hit_rate` (hits / (hits + misses)) and
- * `scratch.decode_cache_fill` (held bytes / budgeted capacity). No
- * gauge is appended when the run decoded nothing, because 0/0 is not
- * a measurement.
- */
-void appendScratchGauges(MetricsSnapshot &snap, const ScratchStats &s);
 
 /** Aggregate of every span sharing one name. */
 struct SpanSummary

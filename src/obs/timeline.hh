@@ -24,12 +24,12 @@
  *    queue wait through the same bucket-interpolation machinery the
  *    metrics histograms use. The series is a pure function of the
  *    event stream, which for the serve layer is a pure function of
- *    (trace, options): byte-identical across machines, backends,
- *    thread counts, and weight formats, so a test can pin it
- *    exactly. Events may be emitted out of time order (a tile's
- *    completion is known at dispatch); build() orders them by
- *    (timestamp, emission seq), which reproduces the server's
- *    completions-retire-before-dispatch tie-break.
+ *    (trace, options): byte-identical across machines, backends
+ *    and thread counts, so a test can pin it exactly. Events may be
+ *    emitted out of time order (a tile's completion is known at
+ *    dispatch); build() orders them by (timestamp, emission seq),
+ *    which reproduces the server's completions-retire-before-dispatch
+ *    tie-break.
  */
 
 #ifndef GOBO_OBS_TIMELINE_HH

@@ -454,7 +454,6 @@ writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
                   static_cast<unsigned long long>(sum.responseChecksum));
     os << "{\n";
     writeMetaJson(meta, os);
-    os << "  \"format\": \"" << meta.format << "\",\n";
     os << "  \"options\": ";
     writeOptionsJson(opt, os);
     os << ",\n";
@@ -510,7 +509,6 @@ writeTimelineJson(const ServeRun &run, const ServeOptions &opt,
     os << "{\n";
     os << "  \"format\": \"gobo-timeline-v1\",\n";
     writeMetaJson(meta, os);
-    os << "  \"weight_format\": \"" << meta.format << "\",\n";
     os << "  \"options\": ";
     writeOptionsJson(opt, os);
     os << ",\n";

@@ -151,7 +151,7 @@ struct ServeSummary
     /** Digest over (id, status, logits bits) of every response,
      * folded in request-id order so completion order is invisible:
      * the replay-identity gate the serve golden pins. Stable across
-     * thread counts and weight formats — but only within a kernel
+     * thread counts — but only within a kernel
      * tier: the fp32 task head behind headLogits reassociates on AVX2
      * (DESIGN.md §11), so the logit bits (and this digest) differ
      * across tiers even for quantized engines. The golden therefore
@@ -229,7 +229,6 @@ struct ServeReportMeta
     std::string kernelTier; ///< resolved SIMD tier name.
     std::size_t threads = 1;
     std::string engine; ///< "qexec" or "fp32".
-    std::string format; ///< "packed" or "unpacked".
 };
 
 /**

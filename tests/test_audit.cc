@@ -3,7 +3,7 @@
  * Tests for the quantization audit layer: static fidelity edge cases
  * (all-outlier, single-centroid, empty tensors must stay finite), the
  * ActivationProbe capture/compare protocol, the bit-identity contract
- * for attached-but-disabled probes across backends and weight formats,
+ * for attached-but-disabled probes across backends,
  * measured-traffic attribution arithmetic, and the end-to-end
  * auditModel report.
  */
@@ -258,8 +258,8 @@ class AuditFixture : public ::testing::Test
 TEST_F(AuditFixture, DisabledProbeIsBitIdenticalEverywhere)
 {
     // The contract: an *attached* divergence probe with sampling
-    // disabled must leave every engine/backend/format combination
-    // exactly unchanged.
+    // disabled must leave every engine/backend combination exactly
+    // unchanged.
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
     InferenceSession plain(QuantizedBertModel(model, qopt),
@@ -272,16 +272,11 @@ TEST_F(AuditFixture, DisabledProbeIsBitIdenticalEverywhere)
     obs.probe = &probe;
 
     for (bool parallel : {false, true}) {
-        for (WeightFormat fmt :
-             {WeightFormat::Unpacked, WeightFormat::Packed}) {
-            ExecContext ctx = parallel ? ExecContext::parallel(4)
-                                       : ExecContext::serial();
-            ctx.obs = &obs;
-            qopt.format = fmt;
-            InferenceSession session(QuantizedBertModel(model, qopt),
-                                     ctx);
-            expectIdentical(expected, session.headLogitsBatch(batch));
-        }
+        ExecContext ctx = parallel ? ExecContext::parallel(4)
+                                   : ExecContext::serial();
+        ctx.obs = &obs;
+        InferenceSession session(QuantizedBertModel(model, qopt), ctx);
+        expectIdentical(expected, session.headLogitsBatch(batch));
     }
     // And the probe really recorded nothing.
     EXPECT_EQ(probe.capturedCount("embed"), 0u);
@@ -321,7 +316,6 @@ TEST_F(AuditFixture, AuditModelProducesFullReport)
 {
     AuditOptions opt;
     opt.quant.base.bits = 3;
-    opt.quant.format = WeightFormat::Packed;
     opt.sequences = 2;
     opt.seqLen = 8;
     opt.seed = 9;
@@ -401,18 +395,6 @@ TEST_F(AuditFixture, AuditJsonIsBalancedAndTagged)
     printAuditReport(r, console);
     EXPECT_NE(console.str().find("encoder0.query"), std::string::npos);
     EXPECT_NE(console.str().find("totals:"), std::string::npos);
-}
-
-TEST_F(AuditFixture, UnpackedAuditDecodesNoRows)
-{
-    AuditOptions opt;
-    opt.quant.base.bits = 3;
-    opt.quant.format = WeightFormat::Unpacked;
-    opt.sequences = 1;
-    opt.seqLen = 6;
-    AuditReport r = auditModel(model, opt);
-    for (const auto &t : r.traffic)
-        EXPECT_EQ(t.rowsDecoded, 0u) << t.layer;
 }
 
 } // namespace

@@ -199,29 +199,23 @@ TEST_F(ModelBitIdentity, ThreadCountDeterminism)
 {
     // The partitioner's contract: thread count picks which thread
     // computes a slot, never what it computes. Quantized logits must
-    // be bit-identical to the serial golden at every thread count, in
-    // both weight formats. grainFlops = 1 forces even this mini model
-    // through the real parallel partition instead of the grain gate.
-    for (WeightFormat fmt :
-         {WeightFormat::Unpacked, WeightFormat::Packed}) {
-        ModelQuantOptions qopt;
-        qopt.base.bits = 3;
-        qopt.format = fmt;
-        InferenceSession golden(QuantizedBertModel(model, qopt),
-                                ExecContext::serial());
-        auto want = golden.headLogitsBatch(batch);
-        for (std::size_t threads : {1u, 2u, 3u, 7u}) {
-            SCOPED_TRACE(std::string(weightFormatName(fmt))
-                         + " threads=" + std::to_string(threads));
-            ExecContext ctx = ExecContext::parallel(threads);
-            ctx.grainFlops = 1;
-            InferenceSession session(QuantizedBertModel(model, qopt),
-                                     ctx);
-            auto got = session.headLogitsBatch(batch);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < want.size(); ++i)
-                expectBitIdentical(want[i], got[i]);
-        }
+    // be bit-identical to the serial golden at every thread count.
+    // grainFlops = 1 forces even this mini model through the real
+    // parallel partition instead of the grain gate.
+    ModelQuantOptions qopt;
+    qopt.base.bits = 3;
+    InferenceSession golden(QuantizedBertModel(model, qopt),
+                            ExecContext::serial());
+    auto want = golden.headLogitsBatch(batch);
+    for (std::size_t threads : {1u, 2u, 3u, 7u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExecContext ctx = ExecContext::parallel(threads);
+        ctx.grainFlops = 1;
+        InferenceSession session(QuantizedBertModel(model, qopt), ctx);
+        auto got = session.headLogitsBatch(batch);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            expectBitIdentical(want[i], got[i]);
     }
 }
 
@@ -248,7 +242,6 @@ TEST_F(ModelBitIdentity, WorkStealingOnSkewedSequenceLengths)
 
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = WeightFormat::Packed;
     InferenceSession golden(QuantizedBertModel(model, qopt),
                             ExecContext::serial());
     auto want = golden.headLogitsBatch(skewed);

@@ -60,7 +60,6 @@ serveRun()
             generateTrace(*spec, testModel().config().vocabSize);
         ModelQuantOptions qopt;
         qopt.base.bits = 3;
-        qopt.format = WeightFormat::Packed;
         InferenceSession session(QuantizedBertModel(testModel(), qopt),
                                  ExecContext::serial());
         ServeOptions opt;
@@ -91,7 +90,6 @@ serveMeta()
     meta.kernelTier = "generic";
     meta.threads = 1;
     meta.engine = "qexec";
-    meta.format = "packed";
     return meta;
 }
 
@@ -116,7 +114,6 @@ auditReport(PmuRegistry *pmu)
 {
     AuditOptions opt;
     opt.quant.base.bits = 3;
-    opt.quant.format = WeightFormat::Packed;
     opt.sequences = 1;
     opt.seqLen = 6;
     opt.pmu = pmu;

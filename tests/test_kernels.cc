@@ -10,7 +10,7 @@
  *     every tier, at every register-block width, table size and
  *     in % 16 tail, asserted against a test-side scalar implementation;
  *     whole QuantizedLinear forwards match the same contract on every
- *     tier, format and thread count, up to paper width, and stay
+ *     tier and thread count, up to paper width, and stay
  *     within 1e-5 of the paper's accumulate-then-multiply order;
  *   - packed-row decode (KernelSet::decodePackedRow) is integer-exact
  *     on every tier, for every B, unaligned bit offsets, and lengths
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -185,8 +186,8 @@ contractSum(const std::uint8_t *idx, std::size_t in, const float *table,
 /**
  * QuantizedLinear's numeric contract: contractSum per (o, s), then
  * float(double(bias) + double(sum) + sum of double(correction) *
- * double(x[col]) in row order). Every tier, format and thread count
- * must reproduce this bit for bit.
+ * double(x[col]) in row order). Every tier and thread count must
+ * reproduce this bit for bit.
  */
 Tensor
 contractReference(const QuantizedTensor &qt, const Tensor &bias,
@@ -385,7 +386,6 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
     qopt.base.bits = 3;
     qopt.base.method = CentroidMethod::Gobo;
     qopt.embeddingBits = 4;
-    qopt.format = WeightFormat::Packed;
     InferenceSession session(QuantizedBertModel(g.model, qopt),
                              tierCtx(genericKernels()));
     Tensor logits = session.headLogits(g.tokens);
@@ -397,14 +397,47 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
 
 // ---------------------------------------------------------------------
 // Compressed-domain forward: exact against the lutDot contract for
-// every tier, format, B, input width (1 and 13 = tail-only rows, 257 =
-// a tail after full 16-groups) and sequence length (1 = the pooler;
-// 7..9, 15..17, 31..33 bracket the 8- and 16-token register blocks),
-// and within tolerance of the paper's bucket order.
+// every tier, B, input width (1 and 13 = tail-only rows, 257 = a tail
+// after full 16-groups) and sequence length (1 = the pooler; 7..9,
+// 15..17, 31..33 bracket the 8- and 16-token register blocks), and
+// within tolerance of the paper's bucket order. Random GOBO-quantized
+// layers (QuantizedLinearTest.PackedFuzzAcrossRandomLayers) add ragged
+// shapes whose row bit offsets straddle byte and group boundaries.
+
+/** Run `layer` on `x` on every tier: exact against the contract and
+ * within 1e-5 of |bias| + sum |w x| of the paper's bucket order. */
+void
+expectForwardMatchesReferences(const QuantizedTensor &qt,
+                               const Tensor &bias, const Tensor &x,
+                               const std::string &where)
+{
+    QuantizedLinear layer(qt, bias);
+    Tensor exact = contractReference(qt, bias, x);
+    Tensor paper = scalarReference(qt, bias, x);
+    Tensor w = qt.dequantize();
+    for (const KernelSet *tier : allTiers()) {
+        Tensor y = layer.forward(tierCtx(*tier), x);
+        ASSERT_EQ(y.rows(), x.rows());
+        ASSERT_EQ(y.cols(), qt.rows);
+        for (std::size_t s = 0; s < x.rows(); ++s)
+            for (std::size_t o = 0; o < qt.rows; ++o) {
+                ASSERT_EQ(y(s, o), exact(s, o))
+                    << where << " tier=" << tier->name << " s=" << s
+                    << " o=" << o;
+                double mag = std::abs(bias(o));
+                for (std::size_t i = 0; i < qt.cols; ++i)
+                    mag += std::abs(static_cast<double>(w(o, i))
+                                    * x(s, i));
+                ASSERT_LE(std::abs(static_cast<double>(y(s, o))
+                                   - paper(s, o)),
+                          1e-5 * mag)
+                    << where << " s=" << s << " o=" << o;
+            }
+    }
+}
 
 TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
 {
-    std::vector<const KernelSet *> tiers = allTiers();
     const std::size_t out = 10;
     const std::vector<std::size_t> seqs = {1, 7, 8, 9, 15, 16,
                                            17, 31, 32, 33};
@@ -419,46 +452,52 @@ TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
                 auto bv = randomVec(out, 2000 + bits);
                 std::copy(bv.begin(), bv.end(), bias.flat().begin());
             }
-            Tensor w = qt.dequantize();
             Tensor x33 = randomTensor(33, in, 3000 + 17 * in + bits);
-            Tensor exact = contractReference(qt, bias, x33);
-            Tensor paper = scalarReference(qt, bias, x33);
-            QuantizedLinear unpacked(qt, bias, WeightFormat::Unpacked);
-            QuantizedLinear packed(qt, bias, WeightFormat::Packed);
             for (std::size_t seq : seqs) {
-                Tensor x = leadingRows(x33, seq);
-                for (const QuantizedLinear *layer : {&unpacked, &packed})
-                    for (const KernelSet *tier : tiers) {
-                        Tensor y = layer->forward(tierCtx(*tier), x);
-                        ASSERT_EQ(y.rows(), seq);
-                        ASSERT_EQ(y.cols(), out);
-                        for (std::size_t s = 0; s < seq; ++s)
-                            for (std::size_t o = 0; o < out; ++o) {
-                                ASSERT_EQ(y(s, o), exact(s, o))
-                                    << "tier=" << tier->name
-                                    << " fmt="
-                                    << weightFormatName(
-                                           layer->format())
-                                    << " bits=" << bits << " in=" << in
-                                    << " seq=" << seq << " s=" << s
-                                    << " o=" << o;
-                                // Tolerance against the paper's order,
-                                // relative to the terms' magnitude.
-                                double mag = std::abs(bias(o));
-                                for (std::size_t i = 0; i < in; ++i)
-                                    mag += std::abs(
-                                        static_cast<double>(w(o, i))
-                                        * x(s, i));
-                                ASSERT_LE(std::abs(static_cast<double>(
-                                              y(s, o))
-                                                   - paper(s, o)),
-                                          1e-5 * mag)
-                                    << "bits=" << bits << " in=" << in
-                                    << " s=" << s << " o=" << o;
-                            }
-                    }
+                expectForwardMatchesReferences(
+                    qt, bias, leadingRows(x33, seq),
+                    "bits=" + std::to_string(bits) + " in="
+                        + std::to_string(in) + " seq="
+                        + std::to_string(seq));
+                if (HasFatalFailure())
+                    return;
             }
         }
+}
+
+TEST(QuantizedLinearTest, PackedFuzzAcrossRandomLayers)
+{
+    // Random ragged GOBO-quantized layers: B in [2, 8], 1..24 rows of
+    // 1..56 weights, planted outliers, 1..5 tokens. Row bit offsets
+    // straddle byte and group boundaries; every tier must stay exact
+    // against the contract.
+    Rng rng(471);
+    for (int trial = 0; trial < 40; ++trial) {
+        auto bits = static_cast<unsigned>(rng.integer(2, 8));
+        auto rows = static_cast<std::size_t>(rng.integer(1, 24));
+        auto in = static_cast<std::size_t>(rng.integer(1, 56));
+        Tensor w(rows, in);
+        rng.fillGaussian(w.data(), 0.0, 0.05);
+        if (rows > 1 && in > 1) {
+            w(0, in - 1) = 0.9f; // force the outlier-correction path
+            w(rows - 1, 0) = -0.85f;
+        }
+        GoboConfig cfg;
+        cfg.bits = bits;
+        QuantizedTensor qt = quantizeTensor(w, cfg);
+        Tensor bias(rows);
+        rng.fillGaussian(bias.data(), 0.0, 0.1);
+        auto seq = static_cast<std::size_t>(rng.integer(1, 5));
+        Tensor x(seq, in);
+        rng.fillGaussian(x.data(), 0.0, 1.0);
+        expectForwardMatchesReferences(
+            qt, bias, x,
+            "trial " + std::to_string(trial) + " bits="
+                + std::to_string(bits) + " out=" + std::to_string(rows)
+                + " in=" + std::to_string(in));
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(QexecTile, WholeModelBitIdenticalAcrossTiers)
@@ -468,7 +507,6 @@ TEST(QexecTile, WholeModelBitIdenticalAcrossTiers)
     GoldenSetup g = goldenSetup();
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = WeightFormat::Packed;
     QuantizedBertModel qmodel(g.model, qopt);
 
     // encode() is FC layers + attention/norm glue; only compare the FC
@@ -508,7 +546,7 @@ TEST(QexecTile, PaperWidthBitIdenticalAcrossTiersAndThreads)
         ASSERT_GT(qt.outlierPositions.size(), 0u);
         Tensor bias(out);
         rng.fillGaussian(bias.data(), 0.0, 0.1);
-        QuantizedLinear layer(qt, bias, WeightFormat::Packed);
+        QuantizedLinear layer(qt, bias);
 
         Tensor x128 = randomTensor(128, in, in + out);
         Tensor ref = contractReference(qt, bias, x128);

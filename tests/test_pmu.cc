@@ -13,7 +13,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "exec/scratch.hh"
 #include "exec/session.hh"
 #include "jsonlint.hh"
 #include "model/generate.hh"
@@ -220,23 +219,6 @@ TEST(PmuMetricsTest, UnavailableBackendAppendsOnlyAvailabilityGauge)
     EXPECT_EQ(snap.findGauge("pmu.ipc"), nullptr);
 }
 
-TEST(PmuMetricsTest, ScratchGaugeIsHitRateOrAbsent)
-{
-    ScratchStats s;
-    s.decodeRowHits = 30;
-    s.decodeRowMisses = 10;
-    MetricsSnapshot snap;
-    appendScratchGauges(snap, s);
-    ASSERT_NE(snap.findGauge("scratch.decode_row_hit_rate"), nullptr);
-    EXPECT_DOUBLE_EQ(
-        snap.findGauge("scratch.decode_row_hit_rate")->value, 0.75);
-
-    // A run that decoded nothing has no rate: 0/0 is not 0%.
-    MetricsSnapshot empty;
-    appendScratchGauges(empty, ScratchStats{});
-    EXPECT_EQ(empty.findGauge("scratch.decode_row_hit_rate"), nullptr);
-}
-
 /** Mini model with a live head, like the audit tests use. */
 class PmuModelFixture : public ::testing::Test
 {
@@ -269,7 +251,6 @@ TEST_F(PmuModelFixture, LogitsBitIdenticalWithPmuOnOrOff)
     // uninstrumented run bit for bit, on every backend.
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = WeightFormat::Packed;
     InferenceSession plain(QuantizedBertModel(model, qopt),
                            ExecContext::serial());
     auto expected = plain.headLogitsBatch(batch);
@@ -304,7 +285,6 @@ TEST_F(PmuModelFixture, AuditPillarFourIsFinitePerLayer)
 
     AuditOptions opt;
     opt.quant.base.bits = 3;
-    opt.quant.format = WeightFormat::Packed;
     opt.sequences = 2;
     opt.seqLen = 8;
     opt.seed = 9;

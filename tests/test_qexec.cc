@@ -124,87 +124,24 @@ TEST_P(QexecBits, ForwardEquivalenceAcrossWidths)
     EXPECT_LT(relativeError(want, got), 1e-5);
 }
 
-TEST_P(QexecBits, PackedMatchesUnpackedBitIdentical)
-{
-    // The Packed engine decodes the B-bit stream inside the kernel but
-    // feeds the identical bucket/table/correction arithmetic, so the
-    // contract is exact float equality, not a tolerance.
-    unsigned bits = GetParam();
-    auto ql = makeQL(32, 48, bits, 461 + bits);
-    QuantizedLinear packed(ql.compressed(), Tensor(32),
-                           WeightFormat::Packed);
-    QuantizedLinear unpacked(ql.compressed(), Tensor(32),
-                             WeightFormat::Unpacked);
-    EXPECT_EQ(packed.format(), WeightFormat::Packed);
-    EXPECT_EQ(unpacked.format(), WeightFormat::Unpacked);
-    Tensor x = gaussianTensor(7, 48, 463, 2.0);
-    Tensor a = unpacked.forward(x);
-    Tensor b = packed.forward(x);
-    Tensor c = packed.forward(ExecContext::parallel(4), x);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.flat().size(); ++i) {
-        EXPECT_EQ(a.flat()[i], b.flat()[i]) << "flat index " << i;
-        EXPECT_EQ(b.flat()[i], c.flat()[i]) << "flat index " << i;
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(Widths, QexecBits,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
                                            8u));
-
-TEST(QuantizedLinearTest, PackedFuzzAcrossRandomLayers)
-{
-    // Random shapes, widths B in [2, 8], and inputs: Packed must stay
-    // bit-identical to Unpacked everywhere, including ragged rows
-    // whose bit offsets straddle byte and group boundaries.
-    Rng rng(471);
-    for (int trial = 0; trial < 40; ++trial) {
-        auto bits = static_cast<unsigned>(rng.integer(2, 8));
-        auto out = static_cast<std::size_t>(rng.integer(1, 24));
-        auto in = static_cast<std::size_t>(rng.integer(1, 56));
-        Tensor w(out, in);
-        rng.fillGaussian(w.data(), 0.0, 0.05);
-        if (out > 1 && in > 1) {
-            w(0, in - 1) = 0.9f; // force the outlier-correction path
-            w(out - 1, 0) = -0.85f;
-        }
-        GoboConfig cfg;
-        cfg.bits = bits;
-        auto q = quantizeTensor(w, cfg);
-        Tensor bias(out);
-        rng.fillGaussian(bias.data(), 0.0, 0.1);
-        QuantizedLinear unpacked(q, bias, WeightFormat::Unpacked);
-        QuantizedLinear packed(q, bias, WeightFormat::Packed);
-        auto seq = static_cast<std::size_t>(rng.integer(1, 5));
-        Tensor x(seq, in);
-        rng.fillGaussian(x.data(), 0.0, 1.0);
-        Tensor a = unpacked.forward(x);
-        Tensor b = packed.forward(x);
-        for (std::size_t i = 0; i < a.flat().size(); ++i)
-            EXPECT_EQ(a.flat()[i], b.flat()[i])
-                << "trial " << trial << " bits " << bits << " out "
-                << out << " in " << in << " flat " << i;
-    }
-}
 
 TEST(QuantizedLinearTest, ResidentBytesMatchFormat)
 {
     auto ql = makeQL(32, 64, 3, 467);
     const auto &q = ql.compressed();
-    QuantizedLinear packed(q, Tensor(32), WeightFormat::Packed);
     std::size_t table_and_outliers =
         q.centroids.size() * sizeof(float)
         + q.outlierPositions.size()
               * (sizeof(std::uint32_t) + sizeof(float));
-    // Unpacked: one byte per weight. Packed: the 3-bit stream itself.
+    // The 3-bit stream itself, plus the table and outlier pairs.
     EXPECT_EQ(ql.residentBytes(),
-              q.elementCount() + table_and_outliers);
-    EXPECT_EQ(packed.residentBytes(),
               (q.elementCount() * 3 + 7) / 8 + table_and_outliers);
-    EXPECT_LT(packed.residentBytes(), ql.residentBytes());
-    // Packed sits at ~B/32 of FP32 plus the small table/outlier tail.
+    // That is ~B/32 of FP32 plus the small table/outlier tail.
     double fp32 = static_cast<double>(q.originalBytes());
-    EXPECT_LT(static_cast<double>(packed.residentBytes()),
+    EXPECT_LT(static_cast<double>(ql.residentBytes()),
               fp32 * (3.0 / 32.0) + 2.0 * table_and_outliers);
 }
 
@@ -274,64 +211,22 @@ TEST(QuantizedBertModelTest, OpCountsAndFootprint)
               9.0);
 }
 
-TEST(QuantizedBertModelTest, PackedModelBitIdenticalToUnpacked)
-{
-    auto cfg = miniConfig(ModelFamily::DistilBert);
-    BertModel model = generateModel(cfg, 429);
-    Rng rng(430);
-    model.resizeHead(3);
-    rng.fillGaussian(model.headW.data(), 0.0, 0.5);
-    rng.fillGaussian(model.headB.data(), 0.0, 0.5);
-
-    ModelQuantOptions options;
-    options.base.bits = 3;
-    options.embeddingBits = 4;
-    QuantizedBertModel unpacked(model, options);
-    options.format = WeightFormat::Packed;
-    QuantizedBertModel packed(model, options);
-    EXPECT_EQ(unpacked.format(), WeightFormat::Unpacked);
-    EXPECT_EQ(packed.format(), WeightFormat::Packed);
-
-    std::vector<std::int32_t> ids{3, 1, 4, 1, 5, 9, 2, 6};
-    Tensor hu = unpacked.encode(ids);
-    Tensor hp = packed.encode(ids);
-    for (std::size_t i = 0; i < hu.flat().size(); ++i)
-        EXPECT_EQ(hu.flat()[i], hp.flat()[i]) << "hidden flat " << i;
-
-    Tensor lu = unpacked.classify(ids);
-    Tensor lp = packed.classify(ExecContext::parallel(4), ids);
-    ASSERT_EQ(lu.size(), lp.size());
-    for (std::size_t i = 0; i < lu.size(); ++i)
-        EXPECT_EQ(lu(i), lp(i)) << "logit " << i;
-
-    // Packed keeps less weight state resident than Unpacked, and
-    // lands under the B/32-of-FP32 ceiling (plus table/outlier tail).
-    std::size_t fp32 = cfg.fcWeightParams() * sizeof(float);
-    EXPECT_LT(packed.residentWeightBytes(),
-              unpacked.residentWeightBytes());
-    EXPECT_LT(static_cast<double>(packed.residentWeightBytes()),
-              static_cast<double>(fp32) * (3.0 / 32.0 + 0.05));
-}
-
 TEST(QuantizedBertModelTest, ResidentBytesGolden)
 {
     // Exact resident weight bytes of the mini BERT-base reference model
-    // (3-bit GOBO FCs, 4-bit embedding) in each format. Packed keeps
-    // the 3-bit stream plus the centroid tables and outliers resident:
-    // 0.09636 of the FP32 FC weights, the paper's ~10x.
+    // (3-bit GOBO FCs, 4-bit embedding): the 3-bit stream plus the
+    // centroid tables and outliers, 0.09636 of the FP32 FC weights —
+    // the paper's ~10x.
     auto cfg = miniConfig(ModelFamily::BertBase);
     BertModel model = generateModel(cfg, 42);
     ModelQuantOptions options;
     options.base.bits = 3;
     options.base.method = CentroidMethod::Gobo;
     options.embeddingBits = 4;
-    QuantizedBertModel unpacked(model, options);
-    options.format = WeightFormat::Packed;
     QuantizedBertModel packed(model, options);
 
     std::size_t fp32 = cfg.fcWeightParams() * sizeof(float);
     EXPECT_EQ(fp32, 2375680u);
-    EXPECT_EQ(unpacked.residentWeightBytes(), 600112u);
     EXPECT_EQ(packed.residentWeightBytes(), 228912u);
     EXPECT_NEAR(static_cast<double>(packed.residentWeightBytes())
                     / static_cast<double>(fp32),

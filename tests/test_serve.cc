@@ -4,9 +4,8 @@
  * and spec grammar, batch-forming bit-identity against one-at-a-time
  * serial replay, queue drain on shutdown (every request answered
  * exactly once), explicit overload/deadline shedding, tile occupancy
- * accounting, and checksum stability across backends and weight
- * formats — the properties that make a 100k-request soak a replayable
- * CI scenario.
+ * accounting, and checksum stability across backends — the
+ * properties that make a 100k-request soak a replayable CI scenario.
  */
 
 #include <gtest/gtest.h>
@@ -46,11 +45,10 @@ testModel()
 }
 
 InferenceSession
-makeSession(bool parallel, WeightFormat format)
+makeSession(bool parallel)
 {
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = format;
     ExecContext ctx =
         parallel ? ExecContext::parallel(2) : ExecContext::serial();
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
@@ -163,13 +161,13 @@ TEST(Serve, BatchFormingIsInvisibleInLogits)
     spec.requests = 96;
     auto trace = generateTrace(spec, testModel().config().vocabSize);
 
-    InferenceSession parallel = makeSession(true, WeightFormat::Packed);
+    InferenceSession parallel = makeSession(true);
     ServeOptions opt; // generous queue: nothing sheds
     ServeServer server(parallel, opt);
     ServeRun run = server.runTrace(trace);
     EXPECT_EQ(run.summary.completed, trace.size());
 
-    InferenceSession serial = makeSession(false, WeightFormat::Packed);
+    InferenceSession serial = makeSession(false);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const ServeResponse &r = run.responses[i];
         ASSERT_EQ(r.status, ServeStatus::Ok);
@@ -185,7 +183,7 @@ TEST(Serve, DrainAnswersEveryRequestExactlyOnce)
 {
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeOptions opt;
     opt.maxQueue = 8;
     opt.requestDeadlineUs = 30000;
@@ -211,7 +209,7 @@ TEST(Serve, OverloadAndDeadlineShedExplicitlyAndDeterministically)
 {
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeOptions opt;
     opt.maxQueue = 8;          // bursts overflow this
     opt.requestDeadlineUs = 30000; // below worst-case queue wait
@@ -249,7 +247,7 @@ TEST(Serve, TileOccupancyAccountsFilledLanes)
             r.tokens.push_back(static_cast<std::int32_t>(tok.next() % 512));
         trace.push_back(std::move(r));
     }
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeOptions opt;
     // The default resolves to the executing tier's seqTile (8 or 16);
     // pin the width the hand-built arithmetic below assumes.
@@ -270,6 +268,7 @@ TEST(Serve, TileOccupancyAccountsFilledLanes)
 
 TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
 {
+    // Serial vs parallel. (The name predates the single weight format.)
     auto spec = stressSpec();
     spec.requests = 64;
     auto trace = generateTrace(spec, testModel().config().vocabSize);
@@ -279,20 +278,18 @@ TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
 
     std::uint64_t checksum = 0;
     bool first = true;
-    for (bool parallel : {false, true})
-        for (WeightFormat fmt :
-             {WeightFormat::Unpacked, WeightFormat::Packed}) {
-            InferenceSession session = makeSession(parallel, fmt);
-            ServeServer server(session, opt);
-            ServeRun run = server.runTrace(trace);
-            if (first) {
-                checksum = run.summary.responseChecksum;
-                first = false;
-            } else {
-                EXPECT_EQ(run.summary.responseChecksum, checksum)
-                    << "parallel=" << parallel;
-            }
+    for (bool parallel : {false, true}) {
+        InferenceSession session = makeSession(parallel);
+        ServeServer server(session, opt);
+        ServeRun run = server.runTrace(trace);
+        if (first) {
+            checksum = run.summary.responseChecksum;
+            first = false;
+        } else {
+            EXPECT_EQ(run.summary.responseChecksum, checksum)
+                << "parallel=" << parallel;
         }
+    }
     EXPECT_NE(checksum, 0u);
 }
 
@@ -330,7 +327,6 @@ TEST(Serve, GoldenTraceMatchesCommittedBaseline)
     qopt.base.bits = 3;
     qopt.base.method = CentroidMethod::Gobo;
     qopt.embeddingBits = 4;
-    qopt.format = WeightFormat::Packed;
     ExecContext ctx = ExecContext::parallel();
     ctx.kernels = &genericKernels();
     InferenceSession session(QuantizedBertModel(testModel(), qopt), ctx);
@@ -433,7 +429,7 @@ TEST(Serve, JsonReportIsWellFormed)
     auto spec = stressSpec();
     spec.requests = 32;
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeOptions opt;
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);
@@ -443,7 +439,6 @@ TEST(Serve, JsonReportIsWellFormed)
     meta.kernelTier = "generic";
     meta.threads = 1;
     meta.engine = "qexec";
-    meta.format = "packed";
     std::ostringstream os;
     writeServeJson(run.summary, opt, meta, os);
     std::string json = os.str();

@@ -5,7 +5,7 @@
  * out-of-order emission, maxWindows clamping, flight-recorder
  * boundedness and shed pinning, and the contracts the serve
  * integration must keep — the windowed series is byte-identical
- * across backends and weight formats, window sums reconcile with the
+ * across backends, window sums reconcile with the
  * run summary, the recorder never alters a response bit, and every
  * shed request is reconstructable from the recorder tail.
  */
@@ -234,11 +234,10 @@ testModel()
 }
 
 InferenceSession
-makeSession(bool parallel, WeightFormat format)
+makeSession(bool parallel)
 {
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = format;
     ExecContext ctx =
         parallel ? ExecContext::parallel(2) : ExecContext::serial();
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
@@ -274,33 +273,30 @@ stressOptions()
 
 TEST(ServeTimeline, ByteIdenticalAcrossBackendsAndFormats)
 {
+    // Serial vs parallel. (The name predates the single weight format.)
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
     ServeOptions opt = stressOptions();
 
     std::string first;
-    for (bool parallel : {false, true})
-        for (WeightFormat fmt :
-             {WeightFormat::Unpacked, WeightFormat::Packed}) {
-            InferenceSession session = makeSession(parallel, fmt);
-            ServeServer server(session, opt);
-            ServeRun run = server.runTrace(trace);
-            std::ostringstream os;
-            writeTimelineWindows(run.summary.timeline, os, 2);
-            if (first.empty()) {
-                first = os.str();
-                EXPECT_GT(run.summary.timeline.windows.size(), 3u);
-            } else {
-                EXPECT_EQ(os.str(), first)
-                    << "parallel=" << parallel << " format "
-                    << weightFormatName(fmt);
-            }
+    for (bool parallel : {false, true}) {
+        InferenceSession session = makeSession(parallel);
+        ServeServer server(session, opt);
+        ServeRun run = server.runTrace(trace);
+        std::ostringstream os;
+        writeTimelineWindows(run.summary.timeline, os, 2);
+        if (first.empty()) {
+            first = os.str();
+            EXPECT_GT(run.summary.timeline.windows.size(), 3u);
+        } else {
+            EXPECT_EQ(os.str(), first) << "parallel=" << parallel;
         }
+    }
 }
 
 TEST(ServeTimeline, WindowSumsReconcileWithSummary)
 {
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeServer server(session, stressOptions());
     ServeRun run = server.runTrace(trace);
     const ServeSummary &sum = run.summary;
@@ -333,7 +329,7 @@ TEST(ServeTimeline, WindowSumsReconcileWithSummary)
 TEST(ServeTimeline, RecorderNeverAltersResponses)
 {
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
 
     ServeOptions on = stressOptions();
     ServeServer serverOn(session, on);
@@ -364,7 +360,7 @@ TEST(ServeTimeline, RecorderReconstructsEveryShedLifecycle)
     // is the complete lifecycle log and must explain every response.
     opt.recorderCapacity = 1024;
     opt.recorderShedCapacity = 1024;
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);
     ASSERT_EQ(run.flightRecords.size(), trace.size());
@@ -414,7 +410,7 @@ TEST(ServeTimeline, TimelineDocumentIsValidJson)
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
     ServeOptions opt = stressOptions();
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(false);
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);
 
@@ -423,7 +419,6 @@ TEST(ServeTimeline, TimelineDocumentIsValidJson)
     meta.kernelTier = "generic";
     meta.threads = 1;
     meta.engine = "qexec";
-    meta.format = "packed";
 
     std::ostringstream tl;
     writeTimelineJson(run, opt, meta, tl);

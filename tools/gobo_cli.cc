@@ -11,20 +11,19 @@
  *   gobo inspect   model.gobm | model.gobc
  *   gobo infer     model.gobm | model.gobc [--batch B] [--seq-len S]
  *                  [--threads N] [--kernel generic|avx2|avx512|native]
- *                  [--engine fp32|qexec] [--format unpacked|packed]
- *                  [--seed N] [--trace OUT.json] [--metrics]
- *                  [--metrics-json OUT.json]
+ *                  [--engine fp32|qexec] [--seed N] [--trace OUT.json]
+ *                  [--metrics] [--metrics-json OUT.json]
  *   gobo audit     model.gobm [--bits B] [--embedding-bits E]
  *                  [--method gobo|kmeans|linear] [--threshold T]
- *                  [--format unpacked|packed] [--sequences N]
- *                  [--seq-len S] [--seed N] [--json OUT.json]
+ *                  [--sequences N] [--seq-len S] [--seed N]
+ *                  [--json OUT.json]
  *   gobo serve     model.gobm | model.gobc --trace SPEC
  *                  [--threads N] [--kernel generic|avx2|avx512|native]
- *                  [--engine fp32|qexec] [--format unpacked|packed]
- *                  [--max-queue N] [--flush-deadline-us N]
- *                  [--deadline-us N] [--band-width N]
- *                  [--service-rate TOK/S] [--window-us N]
- *                  [--recorder-capacity N] [--json OUT.json]
+ *                  [--engine fp32|qexec] [--max-queue N]
+ *                  [--flush-deadline-us N] [--deadline-us N]
+ *                  [--band-width N] [--service-rate TOK/S]
+ *                  [--window-us N] [--recorder-capacity N]
+ *                  [--json OUT.json]
  *                  [--timeline-out OUT.json] [--metrics]
  *                  [--metrics-json OUT.json] [--trace-out OUT.json]
  *   gobo top       model.gobm | model.gobc --trace SPEC
@@ -74,7 +73,6 @@
 #include "core/container.hh"
 #include "core/qexec.hh"
 #include "core/quantizer.hh"
-#include "exec/scratch.hh"
 #include "exec/session.hh"
 #include "exec/threadpool.hh"
 #include "kernels/kernels.hh"
@@ -115,21 +113,17 @@ usage(const char *msg = nullptr)
         "  gobo inspect   FILE\n"
         "  gobo infer     FILE [--batch B] [--seq-len S] [--threads N]\n"
         "                 [--kernel generic|avx2|avx512|native]\n"
-        "                 [--engine fp32|qexec]"
-        " [--format unpacked|packed] [--seed N]\n"
+        "                 [--engine fp32|qexec] [--seed N]\n"
         "                 [--trace OUT.json] [--metrics]"
         " [--metrics-json OUT.json] [--pmu]\n"
         "  gobo audit     FILE [--bits B] [--embedding-bits E]"
         " [--method M]\n"
-        "                 [--threshold T] [--format unpacked|packed]\n"
-        "                 [--sequences N] [--seq-len S] [--seed N]\n"
+        "                 [--threshold T] [--sequences N] [--seq-len S] [--seed N]\n"
         "                 [--json OUT.json] [--pmu]\n"
         "  gobo serve     FILE --trace SPEC [--threads N]\n"
         "                 [--kernel generic|avx2|avx512|native]\n"
-        "                 [--engine fp32|qexec]"
-        " [--format unpacked|packed]\n"
-        "                 [--max-queue N] [--flush-deadline-us N]"
-        " [--deadline-us N]\n"
+        "                 [--engine fp32|qexec] [--max-queue N]\n"
+        "                 [--flush-deadline-us N] [--deadline-us N]\n"
         "                 [--band-width N] [--service-rate TOK/S]\n"
         "                 [--window-us N] [--recorder-capacity N]\n"
         "                 [--json OUT.json] [--timeline-out OUT.json]\n"
@@ -231,16 +225,6 @@ parseMethod(const std::string &name)
     usage(("unknown method: " + name).c_str());
 }
 
-WeightFormat
-parseFormat(const std::string &name)
-{
-    if (name == "packed")
-        return WeightFormat::Packed;
-    if (name == "unpacked")
-        return WeightFormat::Unpacked;
-    usage(("unknown format: " + name).c_str());
-}
-
 /**
  * Strict unsigned flag value via parseUint64Spec. The permissive
  * strtoull idiom this replaces turned "--seed banana" into seed 0 and
@@ -295,14 +279,15 @@ cmdCompress(const Args &args)
         usage("compress needs --out");
 
     ModelQuantOptions options;
-    options.base.bits = static_cast<unsigned>(
-        std::stoul(args.get("bits", "3")));
-    options.embeddingBits = static_cast<unsigned>(
-        std::stoul(args.get("embedding-bits", "4")));
+    options.base.bits =
+        static_cast<unsigned>(parseU64Flag(args, "bits", "3"));
+    options.embeddingBits =
+        static_cast<unsigned>(parseU64Flag(args, "embedding-bits", "4"));
     options.base.method = parseMethod(args.get("method", "gobo"));
     options.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
-    options.threads = std::stoul(args.get("threads", "1"));
+    options.threads =
+        static_cast<std::size_t>(parseU64Flag(args, "threads", "1"));
 
     BertModel model = loadModel(in);
     WallTimer timer;
@@ -400,9 +385,8 @@ cmdInfer(const Args &args)
 
     // Execution flags: --threads 0 (the default) means
     // defaultThreads(), which honours GOBO_THREADS; 1 runs inline.
-    ExecContext ctx =
-        ExecContext::parallel(std::stoul(args.get("threads", "0")));
-    WeightFormat format = parseFormat(args.get("format", "unpacked"));
+    ExecContext ctx = ExecContext::parallel(
+        static_cast<std::size_t>(parseU64Flag(args, "threads", "0")));
 
     // SIMD kernel tier. Default: whatever the process resolved (cpuid
     // best, or GOBO_KERNEL — so the env override must not be shadowed
@@ -413,8 +397,10 @@ cmdInfer(const Args &args)
                                    : activeKernels();
     ctx.kernels = &kernels;
 
-    auto batch_size = std::stoul(args.get("batch", "8"));
-    auto seq_len = std::stoul(args.get("seq-len", "32"));
+    auto batch_size =
+        static_cast<std::size_t>(parseU64Flag(args, "batch", "8"));
+    auto seq_len =
+        static_cast<std::size_t>(parseU64Flag(args, "seq-len", "32"));
     std::uint64_t seed = parseU64Flag(args, "seed", "42");
     std::string engine = args.get("engine", "fp32");
     if (batch_size == 0 || seq_len == 0)
@@ -473,7 +459,6 @@ cmdInfer(const Args &args)
     if (engine == "qexec") {
         ModelQuantOptions qopt;
         qopt.threads = ctx.threads;
-        qopt.format = format;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -483,8 +468,7 @@ cmdInfer(const Args &args)
 
     std::printf("%s engine (%s weights, %.1f KiB resident), %zu threads,"
                 " %s kernels, batch %zu x %zu tokens\n",
-                engine.c_str(),
-                engine == "qexec" ? weightFormatName(format) : "fp32",
+                engine.c_str(), engine == "qexec" ? "packed" : "fp32",
                 toKiB(session->residentWeightBytes()), ctx.threads,
                 kernels.name, batch_size, seq_len);
     WallTimer timer;
@@ -517,8 +501,6 @@ cmdInfer(const Args &args)
     if (show_metrics || !metrics_json_path.empty() || use_pmu) {
         MetricsSnapshot snap = observer->metrics.snapshot();
         appendPoolCounters(snap, ThreadPool::shared().telemetry());
-        appendScratchCounters(snap, scratchStats());
-        appendScratchGauges(snap, scratchStats());
         appendTraceCounters(snap, observer->tracer);
         if (pmu) {
             PmuSnapshot ps = pmu->snapshot();
@@ -565,16 +547,17 @@ cmdAudit(const Args &args)
     std::string path = args.positional[0];
 
     AuditOptions opt;
-    opt.quant.base.bits = static_cast<unsigned>(
-        std::stoul(args.get("bits", "3")));
-    opt.quant.embeddingBits = static_cast<unsigned>(
-        std::stoul(args.get("embedding-bits", "0")));
+    opt.quant.base.bits =
+        static_cast<unsigned>(parseU64Flag(args, "bits", "3"));
+    opt.quant.embeddingBits =
+        static_cast<unsigned>(parseU64Flag(args, "embedding-bits", "0"));
     opt.quant.base.method = parseMethod(args.get("method", "gobo"));
     opt.quant.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
-    opt.quant.format = parseFormat(args.get("format", "unpacked"));
-    opt.sequences = std::stoul(args.get("sequences", "4"));
-    opt.seqLen = std::stoul(args.get("seq-len", "32"));
+    opt.sequences =
+        static_cast<std::size_t>(parseU64Flag(args, "sequences", "4"));
+    opt.seqLen =
+        static_cast<std::size_t>(parseU64Flag(args, "seq-len", "32"));
     opt.seed = parseU64Flag(args, "seed", "42");
     if (opt.sequences == 0 || opt.seqLen == 0)
         usage("sequences and seq-len must be positive");
@@ -643,11 +626,10 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
         usage(("invalid trace spec: " + spec_text).c_str());
 
     // Execution stack flags, same shape as infer. Serving defaults to
-    // the compressed-domain engine on packed weights — the
-    // configuration the paper's latency story is about.
+    // the compressed-domain engine — the configuration the paper's
+    // latency story is about.
     ExecContext ctx = ExecContext::parallel(
         static_cast<std::size_t>(parseU64Flag(args, "threads", "0")));
-    WeightFormat format = parseFormat(args.get("format", "packed"));
     const KernelSet &kernels = args.has("kernel")
                                    ? kernelsByName(args.get("kernel", ""))
                                    : activeKernels();
@@ -695,7 +677,6 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     if (engine == "qexec") {
         ModelQuantOptions qopt;
         qopt.threads = ctx.threads;
-        qopt.format = format;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -707,12 +688,11 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     meta.kernelTier = kernels.name;
     meta.threads = ctx.threads;
     meta.engine = engine;
-    meta.format = engine == "qexec" ? weightFormatName(format) : "fp32";
 
     std::printf("serving trace %s\n", meta.trace.c_str());
     std::printf("%s engine (%s weights), %zu threads, %s kernels\n",
-                engine.c_str(), meta.format.c_str(), ctx.threads,
-                kernels.name);
+                engine.c_str(), engine == "qexec" ? "packed" : "fp32",
+                ctx.threads, kernels.name);
 
     ServeServer server(*session, sopt);
     // Hand the caller the options the server resolved (tileLanes
