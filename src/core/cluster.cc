@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -18,16 +20,88 @@ centroidMethodName(CentroidMethod method)
     panic("unknown CentroidMethod");
 }
 
-SortedWeights::SortedWeights(std::span<const float> values)
-    : vals(values.begin(), values.end())
+namespace {
+
+/**
+ * Order-preserving map from float bits to uint32: flipping every bit
+ * of a negative and only the sign bit of a non-negative makes unsigned
+ * comparison agree with float comparison (-0.0 lands just below +0.0;
+ * both compare equal as floats, so swapping them changes no prefix sum
+ * and no comparison).
+ */
+std::uint32_t
+sortKey(float f)
 {
-    std::sort(vals.begin(), vals.end());
-    prefix.resize(vals.size() + 1, 0.0);
-    prefixSq.resize(vals.size() + 1, 0.0);
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        prefix[i + 1] = prefix[i] + vals[i];
-        prefixSq[i + 1] = prefixSq[i]
-                          + static_cast<double>(vals[i]) * vals[i];
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return (u & 0x80000000u) ? ~u : (u | 0x80000000u);
+}
+
+float
+fromSortKey(std::uint32_t k)
+{
+    std::uint32_t u = (k & 0x80000000u) ? (k & 0x7fffffffu) : ~k;
+    float f;
+    std::memcpy(&f, &u, sizeof f);
+    return f;
+}
+
+/**
+ * The sort keys of `values`, ascending: an LSD radix sort in three
+ * stable counting passes of 11, 11 and 10 bits, with the histograms of
+ * all three taken in the sweep that builds the keys.
+ */
+MapVector<std::uint32_t>
+radixSortedKeys(std::span<const float> values)
+{
+    constexpr unsigned kDigitBits = 11, kPasses = 3;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+    constexpr std::uint32_t kMask = kBuckets - 1;
+    const std::size_t n = values.size();
+    MapVector<std::uint32_t> keys(n), tmp(n);
+    std::vector<std::size_t> hist(kPasses * kBuckets, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t k = sortKey(values[i]);
+        keys[i] = k;
+        for (unsigned p = 0; p < kPasses; ++p)
+            ++hist[p * kBuckets + ((k >> (p * kDigitBits)) & kMask)];
+    }
+    for (unsigned p = 0; p < kPasses; ++p) {
+        std::size_t *count = &hist[p * kBuckets];
+        const unsigned shift = p * kDigitBits;
+        std::size_t offset = 0;
+        for (std::size_t b = 0; b < kBuckets; ++b) {
+            std::size_t c = count[b];
+            count[b] = offset;
+            offset += c;
+        }
+        for (std::uint32_t k : keys)
+            tmp[count[(k >> shift) & kMask]++] = k;
+        keys.swap(tmp);
+    }
+    return keys;
+}
+
+} // namespace
+
+SortedWeights::SortedWeights(std::span<const float> values)
+{
+    // Filled by push_back so no buffer is written twice; the running
+    // sums are exactly the old prefix[i + 1] = prefix[i] + v.
+    MapVector<std::uint32_t> keys = radixSortedKeys(values);
+    vals.reserve(keys.size());
+    prefix.reserve(keys.size() + 1);
+    prefixSq.reserve(keys.size() + 1);
+    double sum = 0.0, sum_sq = 0.0;
+    prefix.push_back(sum);
+    prefixSq.push_back(sum_sq);
+    for (std::uint32_t k : keys) {
+        float v = fromSortKey(k);
+        vals.push_back(v);
+        sum += v;
+        sum_sq += static_cast<double>(v) * v;
+        prefix.push_back(sum);
+        prefixSq.push_back(sum_sq);
     }
 }
 
@@ -270,7 +344,7 @@ clusterWeights(std::span<const float> g_values, unsigned bits,
     return result;
 }
 
-std::vector<std::uint32_t>
+MapVector<std::uint32_t>
 assignNearest(std::span<const float> values,
               std::span<const float> centroids)
 {
@@ -278,18 +352,28 @@ assignNearest(std::span<const float> values,
     panicIf(!std::is_sorted(centroids.begin(), centroids.end()),
             "assignNearest centroids must be ascending");
 
-    // Precompute decision midpoints; index = count of midpoints below v.
-    std::vector<float> mids;
-    mids.reserve(centroids.size() - 1);
-    for (std::size_t j = 1; j < centroids.size(); ++j)
-        mids.push_back(static_cast<float>(
-            (static_cast<double>(centroids[j - 1]) + centroids[j]) / 2.0));
+    // Decision midpoints, padded with +Inf to whole blocks of kLanes:
+    // the index of v is the count of midpoints below it (what
+    // lower_bound over the ascending midpoints returns), and a fixed-
+    // width compare-and-add the compiler vectorizes beats a binary
+    // search's unpredictable branches. +Inf is never below any v.
+    constexpr std::size_t kLanes = 8;
+    std::size_t n_mids = centroids.size() - 1;
+    std::vector<float> mids(
+        (n_mids + kLanes - 1) / kLanes * kLanes,
+        std::numeric_limits<float>::infinity());
+    for (std::size_t j = 0; j < n_mids; ++j)
+        mids[j] = static_cast<float>(
+            (static_cast<double>(centroids[j]) + centroids[j + 1]) / 2.0);
 
-    std::vector<std::uint32_t> idx;
-    idx.reserve(values.size());
-    for (float v : values) {
-        auto it = std::lower_bound(mids.begin(), mids.end(), v);
-        idx.push_back(static_cast<std::uint32_t>(it - mids.begin()));
+    MapVector<std::uint32_t> idx(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const float v = values[i];
+        std::uint32_t below = 0;
+        for (std::size_t j = 0; j < mids.size(); j += kLanes)
+            for (std::size_t l = 0; l < kLanes; ++l)
+                below += mids[j + l] < v ? 1u : 0u;
+        idx[i] = below;
     }
     return idx;
 }

@@ -32,6 +32,8 @@
 #include <span>
 #include <vector>
 
+#include "util/mapvec.hh"
+
 namespace gobo {
 
 /** Centroid-selection policy for the G group. */
@@ -52,13 +54,17 @@ const char *centroidMethodName(CentroidMethod method);
 class SortedWeights
 {
   public:
-    /** Copy and sort the values; O(N log N), done once per layer. */
+    /**
+     * Copy and sort the values (an O(N) radix sort on order-preserving
+     * integer keys, equal to a comparison sort up to the order of
+     * -0.0 and +0.0), then take the prefix sums; done once per layer.
+     */
     explicit SortedWeights(std::span<const float> values);
 
     std::size_t size() const { return vals.size(); }
 
     /** The sorted values. */
-    const std::vector<float> &values() const { return vals; }
+    std::span<const float> values() const { return vals; }
 
     /** Index of the first value >= x. */
     std::size_t lowerBound(double x) const;
@@ -76,9 +82,11 @@ class SortedWeights
     double segmentL2(std::size_t begin, std::size_t end, double c) const;
 
   private:
-    std::vector<float> vals;
-    std::vector<double> prefix;   ///< prefix[i] = sum of first i values.
-    std::vector<double> prefixSq; ///< prefix of squares.
+    // Mapped, like every per-layer scratch buffer of the quantizer
+    // (util/mapvec.hh).
+    MapVector<float> vals;
+    MapVector<double> prefix;   ///< prefix[i] = sum of first i values.
+    MapVector<double> prefixSq; ///< prefix of squares.
 };
 
 /** One Lloyd iteration's objective values (the Fig. 2 series). */
@@ -132,8 +140,8 @@ ClusterResult clusterWeights(std::span<const float> g_values, unsigned bits,
  * Assign each value to the nearest centroid (midpoint rule; centroids
  * must be ascending). Returns one index per value.
  */
-std::vector<std::uint32_t> assignNearest(
-    std::span<const float> values, std::span<const float> centroids);
+MapVector<std::uint32_t> assignNearest(std::span<const float> values,
+                                       std::span<const float> centroids);
 
 /**
  * Equal-population initial centroids over a sorted population: cut the

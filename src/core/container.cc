@@ -51,9 +51,17 @@ ModelQuantReport
 saveCompressedModel(std::ostream &os, const BertModel &model,
                     const ModelQuantOptions &options)
 {
-    ModelQuantReport report;
-    const auto &cfg = model.config();
+    // Quantize everything first, layer-parallel; the records are then
+    // written serially in the fixed file order.
+    const std::size_t n_fc = model.config().numFcLayers();
+    std::vector<QuantizedTensor> q(n_fc + (options.embeddingBits > 0));
+    ModelQuantReport report = quantizeModel(
+        model, options,
+        [&](std::size_t i, QuantizedTensor t, const LayerQuantStats &) {
+            q[i] = std::move(t);
+        });
 
+    const auto &cfg = model.config();
     writePod(os, containerMagic);
     writePod(os, containerVersion);
     writeConfig(os, cfg);
@@ -61,42 +69,17 @@ saveCompressedModel(std::ostream &os, const BertModel &model,
     writePod<std::uint32_t>(os, options.embeddingBits);
 
     // Word embedding: quantized when requested, raw otherwise.
-    report.embeddingOriginalBytes = model.wordEmbedding.size()
-                                    * sizeof(float);
-    if (options.embeddingBits > 0) {
-        GoboConfig ecfg = options.base;
-        ecfg.bits = options.embeddingBits;
-        QuantizedTensor q = quantizeTensor(model.wordEmbedding, ecfg);
-        q.save(os);
-        report.embeddingPayloadBytes = q.payloadBytes();
-    } else {
+    if (options.embeddingBits > 0)
+        q[n_fc].save(os);
+    else
         writeTensor(os, model.wordEmbedding);
-        report.embeddingPayloadBytes = report.embeddingOriginalBytes;
-    }
     writeTensor(os, model.positionEmbedding);
     writeTensor(os, model.embLnGamma);
     writeTensor(os, model.embLnBeta);
 
     // FC weights in enumeration order, each as a quantized tensor.
-    for (const auto &layer : model.fcLayers()) {
-        GoboConfig lcfg = options.base;
-        lcfg.bits = options.effectiveBits(layer.kind, layer.encoder);
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(*layer.weight, lcfg, &stats);
-        q.save(os);
-
-        LayerReportEntry entry;
-        entry.name = layer.name;
-        entry.kind = layer.kind;
-        entry.encoder = layer.encoder;
-        entry.elements = q.elementCount();
-        entry.bits = q.bits;
-        entry.payloadBytes = q.payloadBytes();
-        entry.stats = stats;
-        report.layers.push_back(std::move(entry));
-        report.weightOriginalBytes += q.originalBytes();
-        report.weightPayloadBytes += q.payloadBytes();
-    }
+    for (std::size_t i = 0; i < n_fc; ++i)
+        q[i].save(os);
 
     // FP32 remainder: biases and layer norms per encoder, pooler bias,
     // head.

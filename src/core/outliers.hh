@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/gaussian.hh"
+#include "util/mapvec.hh"
 
 namespace gobo {
 
@@ -24,7 +25,7 @@ namespace gobo {
 struct OutlierSplit
 {
     GaussianFit fit;                  ///< The per-layer Gaussian.
-    std::vector<float> gValues;       ///< Non-outlier weights, layer order.
+    MapVector<float> gValues;         ///< Non-outlier weights, layer order.
     std::vector<std::uint32_t> outlierPositions; ///< Flat indexes, ascending.
     std::vector<float> outlierValues; ///< FP32 values, same order.
 

@@ -199,51 +199,61 @@ QuantizedLinear::residentBytes() const
 
 namespace {
 
-QuantizedLinear
-makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
-          std::size_t encoder, const ModelQuantOptions &options)
+std::string
+layerLabel(FcKind kind, std::size_t encoder)
 {
-    GoboConfig cfg = options.base;
-    cfg.bits = options.effectiveBits(kind, encoder);
-    std::string label =
-        kind == FcKind::Pooler
-            ? fcKindName(kind)
-            : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
-    return {quantizeTensor(w, cfg), b, std::move(label)};
+    return kind == FcKind::Pooler
+               ? fcKindName(kind)
+               : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
+}
+
+/** quantizeModel's tensors: fcLayers() order, then the embedding. */
+std::vector<QuantizedTensor>
+quantizeAll(const BertModel &model, const ModelQuantOptions &options)
+{
+    std::vector<QuantizedTensor> q(model.config().numFcLayers()
+                                   + (options.embeddingBits > 0));
+    quantizeModel(model, options,
+                  [&](std::size_t i, QuantizedTensor t,
+                      const LayerQuantStats &) { q[i] = std::move(t); });
+    return q;
 }
 
 } // namespace
 
 QuantizedBertModel::QuantizedBertModel(const BertModel &model,
                                        const ModelQuantOptions &options)
+    : QuantizedBertModel(model, quantizeAll(model, options))
+{
+}
+
+QuantizedBertModel::QuantizedBertModel(const BertModel &model,
+                                       std::vector<QuantizedTensor> q)
     : cfg(model.config()),
-      wordEmbedding(model.wordEmbedding),
+      wordEmbedding(q.size() > cfg.numFcLayers() ? q.back().dequantize()
+                                                 : model.wordEmbedding),
       positionEmbedding(model.positionEmbedding),
       embLnGamma(model.embLnGamma),
       embLnBeta(model.embLnBeta),
-      pooler(makeLayer(model.poolerW, model.poolerB, FcKind::Pooler,
-                       model.config().numLayers, options)),
+      pooler(std::move(q[cfg.numFcLayers() - 1]), model.poolerB,
+             layerLabel(FcKind::Pooler, cfg.numLayers)),
       headW(model.headW),
       headB(model.headB)
 {
-    if (options.embeddingBits > 0) {
-        GoboConfig ecfg = options.base;
-        ecfg.bits = options.embeddingBits;
-        wordEmbedding = quantizeTensor(model.wordEmbedding, ecfg)
-                            .dequantize();
-    }
     encoders.reserve(model.encoders.size());
     for (std::size_t e = 0; e < model.encoders.size(); ++e) {
         const auto &enc = model.encoders[e];
+        auto layer = [&](std::size_t k, const Tensor &bias, FcKind kind) {
+            return QuantizedLinear(std::move(q[e * 6 + k]), bias,
+                                   layerLabel(kind, e));
+        };
         encoders.push_back(EncoderLayers{
-            makeLayer(enc.queryW, enc.queryB, FcKind::Query, e, options),
-            makeLayer(enc.keyW, enc.keyB, FcKind::Key, e, options),
-            makeLayer(enc.valueW, enc.valueB, FcKind::Value, e, options),
-            makeLayer(enc.attnOutW, enc.attnOutB, FcKind::AttnOutput, e,
-                      options),
-            makeLayer(enc.interW, enc.interB, FcKind::Intermediate, e,
-                      options),
-            makeLayer(enc.outW, enc.outB, FcKind::Output, e, options),
+            layer(0, enc.queryB, FcKind::Query),
+            layer(1, enc.keyB, FcKind::Key),
+            layer(2, enc.valueB, FcKind::Value),
+            layer(3, enc.attnOutB, FcKind::AttnOutput),
+            layer(4, enc.interB, FcKind::Intermediate),
+            layer(5, enc.outB, FcKind::Output),
             enc.attnLnGamma, enc.attnLnBeta, enc.outLnGamma,
             enc.outLnBeta});
     }

@@ -199,6 +199,14 @@ class QuantizedBertModel
     const ModelConfig &config() const { return cfg; }
 
   private:
+    /**
+     * Assemble from quantizeModel's tensors: the FC layers in
+     * BertModel::fcLayers() order, then the word embedding if it was
+     * quantized.
+     */
+    QuantizedBertModel(const BertModel &model,
+                       std::vector<QuantizedTensor> layers);
+
     struct EncoderLayers
     {
         QuantizedLinear query, key, value, attnOut, inter, out;

@@ -1,5 +1,9 @@
 #include "core/quantizer.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <span>
+
 #include "core/outliers.hh"
 #include "model/generate.hh"
 #include "util/bitstream.hh"
@@ -134,83 +138,177 @@ accountLayer(const std::string &name, FcKind kind, std::size_t encoder,
     return entry;
 }
 
-} // namespace
-
+/** Sum per-layer entries (fcLayers() order) into a report. */
 ModelQuantReport
-quantizeModelInPlace(BertModel &model, const ModelQuantOptions &options)
+summarize(std::vector<LayerReportEntry> entries,
+          std::size_t embedding_original, std::size_t embedding_payload)
 {
     ModelQuantReport report;
-
-    auto layers = model.fcLayers();
-    std::vector<LayerReportEntry> entries(layers.size());
-    parallelFor(layers.size(), options.threads, [&](std::size_t i) {
-        auto &layer = layers[i];
-        GoboConfig cfg = options.base;
-        cfg.bits = options.effectiveBits(layer.kind, layer.encoder);
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(*layer.weight, cfg, &stats);
-        entries[i] = accountLayer(layer.name, layer.kind, layer.encoder,
-                                  q, stats);
-        *layer.weight = q.dequantize();
-    });
     for (auto &entry : entries) {
         report.weightOriginalBytes += entry.elements * sizeof(float);
         report.weightPayloadBytes += entry.payloadBytes;
         report.layers.push_back(std::move(entry));
     }
-
-    report.embeddingOriginalBytes = model.wordEmbedding.size()
-                                    * sizeof(float);
-    if (options.embeddingBits > 0) {
-        GoboConfig cfg = options.base;
-        cfg.bits = options.embeddingBits;
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(model.wordEmbedding, cfg,
-                                           &stats);
-        report.embeddingPayloadBytes = q.payloadBytes();
-        model.wordEmbedding = q.dequantize();
-    } else {
-        report.embeddingPayloadBytes = report.embeddingOriginalBytes;
-    }
+    report.embeddingOriginalBytes = embedding_original;
+    report.embeddingPayloadBytes = embedding_payload;
     return report;
+}
+
+/**
+ * One quantizeTensor call for quantizeLayers. The weights are either
+ * borrowed (`weights`, which must outlive the call) or built inside
+ * the job by `generate`, so a streaming run holds at most one
+ * generated layer per thread.
+ */
+struct LayerJob
+{
+    const Tensor *weights = nullptr;
+    std::function<Tensor()> generate; ///< Used when weights is null.
+    std::size_t elements = 0;         ///< Size; larger jobs start first.
+    GoboConfig config;
+};
+
+/** A job for `elements` weights at `bits`, otherwise options.base. */
+LayerJob
+jobFor(const ModelQuantOptions &options, unsigned bits,
+       std::size_t elements)
+{
+    LayerJob job;
+    job.elements = elements;
+    job.config = options.base;
+    job.config.bits = bits;
+    return job;
+}
+
+/**
+ * The one quantization driver: quantizeTensor over every job,
+ * layer-parallel on the shared pool with up to `threads` threads (0
+ * means defaultThreads()), handing each result to `done`. Returns once
+ * every job has finished; their scratch buffers are freed by then.
+ */
+void
+quantizeLayers(std::span<const LayerJob> jobs, std::size_t threads,
+               const LayerSink &done)
+{
+    // Largest first, then greedy: each participant takes the next job
+    // off a shared counter as it frees up, so a big layer never waits
+    // behind small ones and the tail is made of the smallest jobs.
+    std::vector<std::size_t> order(jobs.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return jobs[a].elements > jobs[b].elements;
+                     });
+
+    std::atomic<std::size_t> next{0};
+    std::size_t width = std::min(threads == 0 ? defaultThreads() : threads,
+                                 jobs.size());
+    parallelFor(width, width, [&](std::size_t) {
+        for (std::size_t k = next++; k < order.size(); k = next++) {
+            const LayerJob &job = jobs[order[k]];
+            LayerQuantStats stats;
+            QuantizedTensor q =
+                job.weights
+                    ? quantizeTensor(*job.weights, job.config, &stats)
+                    : quantizeTensor(job.generate(), job.config, &stats);
+            done(order[k], std::move(q), stats);
+        }
+    });
+}
+
+} // namespace
+
+ModelQuantReport
+quantizeModel(const BertModel &model, const ModelQuantOptions &options,
+              const LayerSink &keep)
+{
+    auto layers = model.fcLayers();
+    std::vector<LayerJob> jobs;
+    for (const auto &layer : layers) {
+        jobs.push_back(jobFor(options,
+                              options.effectiveBits(layer.kind, layer.encoder),
+                              layer.weight->size()));
+        jobs.back().weights = layer.weight;
+    }
+    std::size_t embedding_bytes = model.wordEmbedding.size() * sizeof(float);
+    std::size_t embedding_payload = embedding_bytes;
+    if (options.embeddingBits > 0) {
+        jobs.push_back(jobFor(options, options.embeddingBits,
+                              model.wordEmbedding.size()));
+        jobs.back().weights = &model.wordEmbedding;
+    }
+
+    std::vector<LayerReportEntry> entries(layers.size());
+    quantizeLayers(jobs, options.threads,
+                   [&](std::size_t i, QuantizedTensor q,
+                       const LayerQuantStats &stats) {
+                       if (i == layers.size()) {
+                           embedding_payload = q.payloadBytes();
+                       } else {
+                           const auto &layer = layers[i];
+                           entries[i] = accountLayer(layer.name, layer.kind,
+                                                     layer.encoder, q, stats);
+                       }
+                       keep(i, std::move(q), stats);
+                   });
+    return summarize(std::move(entries), embedding_bytes, embedding_payload);
+}
+
+ModelQuantReport
+quantizeModelInPlace(BertModel &model, const ModelQuantOptions &options)
+{
+    // Job i reads its tensor and then overwrites it with the decoded
+    // form; no job touches another's tensor.
+    auto layers = model.fcLayers();
+    return quantizeModel(model, options,
+                         [&](std::size_t i, QuantizedTensor q,
+                             const LayerQuantStats &) {
+                             Tensor &dst = i == layers.size()
+                                               ? model.wordEmbedding
+                                               : *layers[i].weight;
+                             dst = q.dequantize();
+                         });
 }
 
 ModelQuantReport
 quantizeConfigStreaming(const ModelConfig &config, std::uint64_t seed,
                         const ModelQuantOptions &options)
 {
-    ModelQuantReport report;
-
     auto specs = fcLayerSpecs(config);
-    std::vector<LayerReportEntry> entries(specs.size());
-    parallelFor(specs.size(), options.threads, [&](std::size_t i) {
-        const auto &spec = specs[i];
-        Tensor w = generateFcWeight(config, spec, seed);
-        GoboConfig cfg = options.base;
-        cfg.bits = options.effectiveBits(spec.kind, spec.encoder);
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(w, cfg, &stats);
-        entries[i] = accountLayer(spec.name, spec.kind, spec.encoder, q,
-                                  stats);
-    });
-    for (auto &entry : entries) {
-        report.weightOriginalBytes += entry.elements * sizeof(float);
-        report.weightPayloadBytes += entry.payloadBytes;
-        report.layers.push_back(std::move(entry));
+    std::vector<LayerJob> jobs;
+    for (const auto &spec : specs) {
+        jobs.push_back(jobFor(options,
+                              options.effectiveBits(spec.kind, spec.encoder),
+                              spec.rows * spec.cols));
+        jobs.back().generate = [&config, &spec, seed] {
+            return generateFcWeight(config, spec, seed);
+        };
+    }
+    std::size_t embedding_bytes = config.wordEmbeddingParams()
+                                  * sizeof(float);
+    std::size_t embedding_payload = embedding_bytes;
+    if (options.embeddingBits > 0) {
+        jobs.push_back(jobFor(options, options.embeddingBits,
+                              config.wordEmbeddingParams()));
+        jobs.back().generate = [&config, seed] {
+            return generateWordEmbedding(config, seed);
+        };
     }
 
-    report.embeddingOriginalBytes = config.wordEmbeddingParams()
-                                    * sizeof(float);
-    if (options.embeddingBits > 0) {
-        Tensor emb = generateWordEmbedding(config, seed);
-        GoboConfig cfg = options.base;
-        cfg.bits = options.embeddingBits;
-        QuantizedTensor q = quantizeTensor(emb, cfg);
-        report.embeddingPayloadBytes = q.payloadBytes();
-    } else {
-        report.embeddingPayloadBytes = report.embeddingOriginalBytes;
-    }
-    return report;
+    std::vector<LayerReportEntry> entries(specs.size());
+    quantizeLayers(jobs, options.threads,
+                   [&](std::size_t i, QuantizedTensor q,
+                       const LayerQuantStats &stats) {
+                       if (i == specs.size()) {
+                           embedding_payload = q.payloadBytes();
+                           return;
+                       }
+                       const auto &spec = specs[i];
+                       entries[i] = accountLayer(spec.name, spec.kind,
+                                                 spec.encoder, q, stats);
+                   });
+    return summarize(std::move(entries), embedding_bytes, embedding_payload);
 }
 
 std::function<unsigned(FcKind, std::size_t)>

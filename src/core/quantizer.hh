@@ -3,11 +3,13 @@
  * Layer- and model-level GOBO quantization drivers.
  *
  * quantizeTensor implements the seven-step recipe of Sec. IV-B on one
- * weight matrix; the model drivers apply it across a BertModel (for
- * accuracy experiments, replacing each matrix with its decoded form) or
- * across a full-size configuration layer-by-layer without holding the
- * whole model (for exact compression-ratio accounting at the paper's
- * real checkpoint dimensions).
+ * weight matrix; every model-level driver runs it layer-parallel
+ * through one internal driver (quantizeLayers): across a
+ * BertModel (for accuracy experiments, replacing each matrix with its
+ * decoded form, or keeping the compressed tensors) or across a
+ * full-size configuration layer-by-layer without holding the whole
+ * model (for exact compression-ratio accounting at the paper's real
+ * checkpoint dimensions).
  */
 
 #ifndef GOBO_CORE_QUANTIZER_HH
@@ -86,18 +88,27 @@ struct ModelQuantOptions
      */
     std::function<unsigned(FcKind, std::size_t /*encoder*/)> bitsFor;
     /**
-     * Worker threads for the model-level drivers; layers are
-     * quantized independently, so the result is bit-identical to the
-     * single-threaded run. 1 (default) keeps everything on one core,
-     * matching the paper's deployment claim.
+     * Threads for the model-level drivers, which all quantize through
+     * quantizeLayers; 0 (default) means defaultThreads(), the same
+     * convention as ExecContext::parallel(0). Layers are quantized
+     * independently, so every thread count gives bit-identical output.
+     * 1 keeps everything on the calling thread (the paper's one-core
+     * deployment claim).
      */
-    std::size_t threads = 1;
+    std::size_t threads = 0;
     /** Always Packed; kept for perfbench/engine.cc:330. */
     WeightFormat format = WeightFormat::Packed;
 
     /** Effective width for one layer. */
     unsigned effectiveBits(FcKind kind, std::size_t encoder) const;
 };
+
+/**
+ * Receives layer i's quantized tensor, on the thread that made it. It
+ * must only touch state that belongs to layer i.
+ */
+using LayerSink = std::function<void(std::size_t, QuantizedTensor,
+                                     const LayerQuantStats &)>;
 
 /** Accounting for one quantized layer inside a model report. */
 struct LayerReportEntry
@@ -132,6 +143,18 @@ struct ModelQuantReport
     /** Mean outlier fraction weighted by layer size. */
     double overallOutlierFraction() const;
 };
+
+/**
+ * Quantize every FC weight of `model` (layers 0..n-1, in
+ * BertModel::fcLayers() order) and, when options.embeddingBits > 0,
+ * the word embedding (layer n): one layer-parallel job on the shared
+ * pool, largest layer first. Returns the exact storage accounting once
+ * every layer is done; `keep` receives each quantized tensor first.
+ * Output does not depend on options.threads.
+ */
+ModelQuantReport quantizeModel(const BertModel &model,
+                               const ModelQuantOptions &options,
+                               const LayerSink &keep);
 
 /**
  * Quantize every FC weight matrix (and optionally the word embedding)

@@ -63,12 +63,34 @@ BitReader::get(unsigned bits)
 }
 
 std::vector<std::uint8_t>
-packIndexes(const std::vector<std::uint32_t> &idx, unsigned bits)
+packIndexes(std::span<const std::uint32_t> idx, unsigned bits)
 {
-    BitWriter w;
-    for (auto v : idx)
-        w.put(v, bits);
-    return w.take();
+    fatalIf(bits == 0 || bits > 32, "packIndexes width out of range: ",
+            bits);
+    // The BitWriter layout (LSB-first within each byte), a word at a
+    // time: indexes collect in a 64-bit accumulator and leave it four
+    // bytes at once, so the loop never revisits a byte.
+    std::vector<std::uint8_t> out((idx.size() * bits + 7) / 8);
+    std::uint64_t acc = 0, wide = 0;
+    unsigned fill = 0;
+    std::size_t pos = 0;
+    for (std::uint32_t v : idx) {
+        wide |= std::uint64_t{v} >> bits;
+        acc |= std::uint64_t{v} << fill;
+        fill += bits;
+        if (fill >= 32) {
+            for (int b = 0; b < 4; ++b)
+                out[pos++] = static_cast<std::uint8_t>(acc >> (8 * b));
+            acc >>= 32;
+            fill -= 32;
+        }
+    }
+    for (; fill > 0; fill = fill > 8 ? fill - 8 : 0) {
+        out[pos++] = static_cast<std::uint8_t>(acc);
+        acc >>= 8;
+    }
+    panicIf(wide != 0, "packIndexes value wider than ", bits, " bits");
+    return out;
 }
 
 std::vector<std::uint32_t>

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace gobo {
@@ -84,7 +85,7 @@ class BitReader
  * Pack a vector of indexes at the given width.
  * Convenience wrapper used by the quantized-tensor codec.
  */
-std::vector<std::uint8_t> packIndexes(const std::vector<std::uint32_t> &idx,
+std::vector<std::uint8_t> packIndexes(std::span<const std::uint32_t> idx,
                                       unsigned bits);
 
 /** Unpack `count` indexes of the given width from packed bytes. */

@@ -180,6 +180,38 @@ TEST_P(BitstreamWidth, MixedWidthInterleaving)
     EXPECT_EQ(r.get(1), 1u);
 }
 
+/** The per-index BitWriter loop packIndexes replaced. */
+std::vector<std::uint8_t>
+packWithBitWriter(const std::vector<std::uint32_t> &values, unsigned bits)
+{
+    BitWriter w;
+    for (auto v : values)
+        w.put(v, bits);
+    return w.take();
+}
+
+TEST_P(BitstreamWidth, PackIndexesMatchesBitWriterReference)
+{
+    // Every count up to 70 leaves each possible partial last byte (and
+    // partial last word) at least once, plus one long stream.
+    unsigned bits = GetParam();
+    std::mt19937_64 eng(4321 + bits);
+    std::uint64_t mask = bits == 32 ? 0xffffffffULL
+                                    : ((1ULL << bits) - 1);
+    for (std::size_t n = 0; n <= 70; ++n) {
+        std::vector<std::uint32_t> values(n);
+        for (auto &v : values)
+            v = static_cast<std::uint32_t>(eng() & mask);
+        EXPECT_EQ(packIndexes(values, bits),
+                  packWithBitWriter(values, bits))
+            << "bits " << bits << " count " << n;
+    }
+    std::vector<std::uint32_t> values(4099);
+    for (auto &v : values)
+        v = static_cast<std::uint32_t>(eng() & mask);
+    EXPECT_EQ(packIndexes(values, bits), packWithBitWriter(values, bits));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitstreamWidth,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
                                            9u, 12u, 16u, 17u, 24u, 31u,

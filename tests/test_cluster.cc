@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -61,6 +65,93 @@ TEST(SortedWeightsTest, SegmentNormsMatchBruteForce)
         EXPECT_NEAR(sw.segmentL1(b, e, c), l1, 1e-6 * (l1 + 1));
         EXPECT_NEAR(sw.segmentL2(b, e, c), l2, 1e-6 * (l2 + 1));
     }
+}
+
+template <typename T>
+auto
+bitsOf(T x)
+{
+    std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t> u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+/**
+ * SortedWeights against the std::sort construction it replaced: the
+ * same values in the same order, and the same prefix/prefixSq bits
+ * (read back as segmentSum(0, i) and segmentL2(0, i, 0), which are
+ * exact there). Signed zeros compare equal, so they may trade places;
+ * every other value must match bit for bit.
+ */
+void
+expectMatchesSortReference(const std::vector<float> &input,
+                           const std::string &what)
+{
+    SortedWeights sw(input);
+    std::vector<float> ref = input;
+    std::sort(ref.begin(), ref.end());
+    ASSERT_EQ(sw.size(), ref.size()) << what;
+    double sum = 0.0, sq = 0.0;
+    for (std::size_t i = 0; i <= ref.size(); ++i) {
+        ASSERT_EQ(bitsOf(sw.segmentSum(0, i)), bitsOf(sum))
+            << what << " prefix " << i;
+        ASSERT_EQ(bitsOf(sw.segmentL2(0, i, 0.0)), bitsOf(sq))
+            << what << " prefixSq " << i;
+        if (i == ref.size())
+            break;
+        if (ref[i] == 0.0f)
+            ASSERT_EQ(sw.values()[i], 0.0f) << what << " at " << i;
+        else
+            ASSERT_EQ(bitsOf(sw.values()[i]), bitsOf(ref[i]))
+                << what << " at " << i;
+        sum += ref[i];
+        sq += static_cast<double>(ref[i]) * ref[i];
+    }
+}
+
+TEST(SortedWeightsTest, MatchesStdSortReferenceExactly)
+{
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    expectMatchesSortReference({0.0f, -0.0f, 1.0f, -0.0f, -1.0f, 0.0f},
+                               "signed zeros");
+    expectMatchesSortReference({tiny, -tiny, FLT_MIN / 2, -FLT_MIN, FLT_MIN,
+                                0.0f, -0.0f, 1e-40f, -3e-39f, 2.0f},
+                               "denormals");
+    expectMatchesSortReference({FLT_MAX, -FLT_MAX, 0.0f, 1.0f, -1.0f,
+                                FLT_MAX, -FLT_MAX / 2, 3e38f},
+                               "extremes");
+    expectMatchesSortReference({1.0f, -1.0f}, "n=2");
+    expectMatchesSortReference({-0.0f, 0.0f}, "n=2 zeros");
+    expectMatchesSortReference({3.0f, 3.0f}, "n=2 equal");
+
+    Rng rng(811);
+    const float pool[] = {-0.5f, -0.25f, -0.0f, 0.0f, 0.25f, 0.5f};
+    std::vector<float> dups(5000);
+    for (auto &x : dups)
+        x = pool[rng.integer(0, 5)];
+    expectMatchesSortReference(dups, "heavy duplicates");
+
+    auto g = gaussianSample(4096, 813);
+    std::sort(g.begin(), g.end());
+    expectMatchesSortReference(g, "pre-sorted");
+    std::reverse(g.begin(), g.end());
+    expectMatchesSortReference(g, "reverse-sorted");
+
+    for (std::size_t n = 1; n <= 33; ++n)
+        expectMatchesSortReference(gaussianSample(n, 900 + n),
+                                   "n=" + std::to_string(n));
+    expectMatchesSortReference(gaussianSample(200000, 815), "large");
+
+    // Every exponent and sign: random finite bit patterns.
+    std::vector<float> wide;
+    while (wide.size() < 20000) {
+        auto u = static_cast<std::uint32_t>(rng.raw()());
+        float f;
+        std::memcpy(&f, &u, sizeof f);
+        if (std::isfinite(f))
+            wide.push_back(f);
+    }
+    expectMatchesSortReference(wide, "all exponents");
 }
 
 TEST(EqualPopulationCentroids, BalancedBins)
@@ -119,6 +210,51 @@ TEST(AssignNearest, MatchesBruteForce)
         // Ties may go either way; distances must match.
         EXPECT_NEAR(chosen, best, 1e-9);
         (void)best_j;
+    }
+}
+
+/** The std::lower_bound assignment assignNearest replaced. */
+std::vector<std::uint32_t>
+assignWithLowerBound(const std::vector<float> &values,
+                     const std::vector<float> &centroids)
+{
+    std::vector<float> mids;
+    for (std::size_t j = 1; j < centroids.size(); ++j)
+        mids.push_back(static_cast<float>(
+            (static_cast<double>(centroids[j - 1]) + centroids[j]) / 2.0));
+    std::vector<std::uint32_t> idx;
+    for (float v : values)
+        idx.push_back(static_cast<std::uint32_t>(
+            std::lower_bound(mids.begin(), mids.end(), v) - mids.begin()));
+    return idx;
+}
+
+TEST(AssignNearest, MatchesLowerBoundReferenceExactly)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (std::size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 64,
+                          100, 128, 255, 256}) {
+        std::vector<float> centroids = gaussianSample(k, 830 + k);
+        if (k > 4) // duplicate neighbours give repeated midpoints
+            centroids[k / 2] = centroids[k / 2 + 1];
+        std::sort(centroids.begin(), centroids.end());
+
+        std::vector<float> values = gaussianSample(3000, 850 + k, 0.08);
+        for (std::size_t j = 1; j < k; ++j) {
+            auto mid = static_cast<float>(
+                (static_cast<double>(centroids[j - 1]) + centroids[j])
+                / 2.0);
+            values.push_back(mid); // exactly on a midpoint
+            values.push_back(std::nextafter(mid, -inf));
+            values.push_back(std::nextafter(mid, inf));
+        }
+        values.insert(values.end(), centroids.begin(), centroids.end());
+        for (float v : {0.0f, -0.0f, inf, -inf, FLT_MAX, -FLT_MAX})
+            values.push_back(v);
+        auto got = assignNearest(values, centroids);
+        EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                  assignWithLowerBound(values, centroids))
+            << "k=" << k;
     }
 }
 

@@ -83,6 +83,7 @@ TEST(ParallelQuantization, StreamingBitIdenticalToSerial)
     ModelQuantOptions serial;
     serial.base.bits = 3;
     serial.embeddingBits = 4;
+    serial.threads = 1;
     ModelQuantOptions parallel = serial;
     parallel.threads = defaultThreads();
 

@@ -133,6 +133,29 @@ TEST(QuantizeTensor, RejectsBadConfig)
     EXPECT_THROW(quantizeTensor(w, cfg), FatalError);
 }
 
+TEST(QuantizeTensor, NonFiniteWeightsRejectedBeforeClustering)
+{
+    // The Gaussian fit sees every weight first, so a NaN or Inf never
+    // reaches the clusterer's sort.
+    for (float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+        for (bool detect : {true, false}) {
+            Tensor w = gaussianTensor(16, 16, 41);
+            w.data()[37] = bad;
+            GoboConfig cfg;
+            cfg.detectOutliers = detect;
+            try {
+                quantizeTensor(w, cfg);
+                ADD_FAILURE() << "accepted " << bad;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "GaussianFit needs sigma > 0"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(ModelQuantOptionsTest, EffectiveBits)
 {
     ModelQuantOptions opt;

@@ -6,7 +6,7 @@
  *                  --out model.gobm
  *   gobo compress  model.gobm --out model.gobc [--bits B]
  *                  [--embedding-bits E] [--method gobo|kmeans|linear]
- *                  [--threshold T]
+ *                  [--threshold T] [--threads N]
  *   gobo decompress model.gobc --out model.gobm
  *   gobo inspect   model.gobm | model.gobc
  *   gobo infer     model.gobm | model.gobc [--batch B] [--seq-len S]
@@ -33,7 +33,9 @@
  *
  * `generate` writes a synthetic FP32 checkpoint (see model/generate);
  * `compress` produces the GOBC container and prints the per-layer
- * accounting; `decompress` decodes back to a plain FP32 model any
+ * accounting, quantizing layers on `--threads` threads (0, the
+ * default, means every core; the file is byte-identical at any
+ * count); `decompress` decodes back to a plain FP32 model any
  * engine can consume; `inspect` prints what a file contains; `infer`
  * serves a batch of random sequences through an InferenceSession on
  * `--threads` threads (1 runs inline) and reports logits — decimal
@@ -108,7 +110,7 @@ usage(const char *msg = nullptr)
         "  gobo compress  IN.gobm --out OUT.gobc [--bits B]"
         " [--embedding-bits E]\n"
         "                 [--method gobo|kmeans|linear]"
-        " [--threshold T]\n"
+        " [--threshold T] [--threads N]\n"
         "  gobo decompress IN.gobc --out OUT.gobm\n"
         "  gobo inspect   FILE\n"
         "  gobo infer     FILE [--batch B] [--seq-len S] [--threads N]\n"
@@ -287,7 +289,7 @@ cmdCompress(const Args &args)
     options.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
     options.threads =
-        static_cast<std::size_t>(parseU64Flag(args, "threads", "1"));
+        static_cast<std::size_t>(parseU64Flag(args, "threads", "0"));
 
     BertModel model = loadModel(in);
     WallTimer timer;
