@@ -7,10 +7,12 @@
  * decode that feeds it — on every tier the host can run (generic,
  * avx2, avx512), and reports GB/s of streamed operands and GFLOP/s of
  * useful arithmetic. lutDot and decode are swept across B in
- * {2, 3, 4}; lutDot runs eight 3072-wide index rows (the engine's row
- * chunk) against 1 token (the short-request case) and against 16
- * tokens (a full avx512 register block, where one lookup serves every
- * token).
+ * {2, 3, 4}; lutDot runs eight index rows (the engine's row chunk)
+ * against seq in {1, 4, 8, 16} tokens at in in {768, 3072} (BERT-base's
+ * hidden and FFN widths). Activation rows sit `in` floats apart as in
+ * the engine, so at in = 3072 every token row starts on the same 4 KiB
+ * page offset — the layout that exposes how a tier's register tile
+ * uses L1.
  * Tier-to-tier speedup here is the microscopic view of the end-to-end
  * numbers perfbench/ measures.
  *
@@ -21,9 +23,13 @@
  * *streamed through the kernel*, plus arithmetic intensity (flops per
  * missed byte) and IPC. It is machine-dependent by construction.
  *
+ * Every lut_dot cell's sums must equal the generic tier's bit for bit
+ * (kernels.hh contract); the program exits 1 if any differ.
+ *
  * Flags: --seed N, --fast (fewer repetitions).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -102,10 +108,11 @@ timeAxpy(const KernelSet &kn, const std::vector<float> &x,
 double
 timeLutDot(const KernelSet &kn, const std::vector<std::uint8_t> &idx,
            std::size_t rows, const std::vector<float> &table,
-           const std::vector<float> &x, std::size_t seq, std::size_t reps)
+           const std::vector<float> &x, std::size_t seq, std::size_t reps,
+           std::vector<float> &sums)
 {
     std::size_t in = idx.size() / rows;
-    std::vector<float> sums(rows * seq);
+    sums.assign(rows * seq, 0.0f);
     kn.lutDot(idx.data(), rows, in, table.data(), table.size(),
               x.data(), in, seq, sums.data()); // warm-up
     WallTimer timer;
@@ -160,12 +167,14 @@ main(int argc, char **argv)
     if (const KernelSet *avx512 = avx512Kernels())
         tiers.push_back(avx512);
 
-    // Dense kernels at a BERT-base-like width; lutDot at the FFN width,
-    // 8 index rows per call (the engine's row chunk) against 1 or 16
-    // activation rows.
+    // Dense kernels at a BERT-base-like width; lutDot at the hidden
+    // and FFN widths, 8 index rows per call (the engine's row chunk)
+    // against 1..16 activation rows; decode at the FFN width.
     constexpr std::size_t kDenseN = 4096;
     constexpr std::size_t kIn = 3072;
     constexpr std::size_t kLutRows = 8;
+    constexpr std::size_t kLutSeqs[] = {1, 4, 8, 16};
+    constexpr std::size_t kLutWidths[] = {768, kIn};
 
     Rng rng(seed);
     std::vector<float> a(kDenseN), b(kDenseN), y(kDenseN);
@@ -187,6 +196,7 @@ main(int argc, char **argv)
     // untouched either way: sampling happens strictly outside them, so
     // wall-clock results are identical with PMU on, off, or absent.
     PmuRegistry pmu;
+    std::size_t mismatches = 0;
     std::vector<Result> results;
     std::vector<Roofline> roofline;
     const double line = static_cast<double>(pmuCacheLineBytes());
@@ -235,32 +245,54 @@ main(int argc, char **argv)
                                bytes / secs / 1e9, flops / secs / 1e9});
             addRoofline(results.back(), delta, secs, flops);
         }
-        for (unsigned bits : {2u, 3u, 4u}) {
-            std::size_t k = std::size_t{1} << bits;
-            std::vector<std::uint8_t> idx(kLutRows * kIn);
-            Rng irng(seed * 97 + bits);
-            for (auto &v : idx)
-                v = static_cast<std::uint8_t>(
-                    irng.integer(0, static_cast<int>(k) - 1));
-            std::vector<float> table(k);
-            irng.fillGaussian(table, 0.0, 0.05);
-            for (std::size_t seq : {std::size_t{1}, std::size_t{16}}) {
-                PmuSample t0 = pmu.threadSample();
-                double secs = timeLutDot(kn, idx, kLutRows, table, xs,
-                                         seq, reps / 32);
-                PmuSample delta = pmu.threadSample().since(t0);
-                double calls = static_cast<double>(reps / 32);
-                // Streams the index rows once and every token's
-                // activation row; one mul + one add per (index, token).
-                double bytes = calls * kIn
-                               * (kLutRows + seq * sizeof(float));
-                double flops = calls * 2.0 * kLutRows * kIn * seq;
-                results.push_back({"lut_dot", kn.name, bits, kIn, seq,
-                                   bytes / secs / 1e9,
-                                   flops / secs / 1e9});
-                addRoofline(results.back(), delta, secs, flops);
+        for (unsigned bits : {2u, 3u, 4u})
+            for (std::size_t in : kLutWidths) {
+                std::size_t k = std::size_t{1} << bits;
+                std::vector<std::uint8_t> idx(kLutRows * in);
+                Rng irng(seed * 97 + bits);
+                for (auto &v : idx)
+                    v = static_cast<std::uint8_t>(
+                        irng.integer(0, static_cast<int>(k) - 1));
+                std::vector<float> table(k);
+                irng.fillGaussian(table, 0.0, 0.05);
+                for (std::size_t seq : kLutSeqs) {
+                    // Equal work per cell: reps / 8 calls' worth of an
+                    // 8 x 3072 x 4-token call.
+                    std::size_t n_calls = std::max<std::size_t>(
+                        1, reps / 8 * kIn * 4 / (in * seq));
+                    std::vector<float> sums, ref;
+                    PmuSample t0 = pmu.threadSample();
+                    double secs = timeLutDot(kn, idx, kLutRows, table,
+                                             xs, seq, n_calls, sums);
+                    PmuSample delta = pmu.threadSample().since(t0);
+                    // Every tier owes the generic tier's bits.
+                    ref.assign(sums.size(), 0.0f);
+                    genericKernels().lutDot(idx.data(), kLutRows, in,
+                                            table.data(), k, xs.data(),
+                                            in, seq, ref.data());
+                    if (std::memcmp(sums.data(), ref.data(),
+                                    sums.size() * sizeof(float))
+                        != 0) {
+                        std::fprintf(stderr,
+                                     "lut_dot %s B=%u in=%zu seq=%zu: "
+                                     "sums differ from generic\n",
+                                     kn.name, bits, in, seq);
+                        ++mismatches;
+                    }
+                    double calls = static_cast<double>(n_calls);
+                    // Streams the index rows once and every token's
+                    // activation row; one mul + one add per (index,
+                    // token).
+                    double bytes = calls * static_cast<double>(in)
+                                   * (kLutRows + seq * sizeof(float));
+                    double flops = calls * 2.0 * kLutRows
+                                   * static_cast<double>(in * seq);
+                    results.push_back({"lut_dot", kn.name, bits, in,
+                                       seq, bytes / secs / 1e9,
+                                       flops / secs / 1e9});
+                    addRoofline(results.back(), delta, secs, flops);
+                }
             }
-        }
         for (unsigned bits : {2u, 3u, 4u}) {
             // Packed-row decode: the phase-0 step of the compressed-
             // domain FC. Bytes = packed input read + widened output
@@ -306,12 +338,16 @@ main(int argc, char **argv)
         std::printf("\nRoofline (hardware counters, %s backend, "
                     "%zu-byte lines; machine-dependent, ungated):\n",
                     pmu.sourceName(), pmuCacheLineBytes());
-        ConsoleTable roof({"Kernel", "Tier", "B", "Wall GB/s",
-                           "DRAM GB/s", "Flop/DRAM-byte", "IPC"});
+        ConsoleTable roof({"Kernel", "Tier", "B", "N", "Seq",
+                           "Wall GB/s", "DRAM GB/s", "Flop/DRAM-byte",
+                           "IPC"});
         for (const auto &r : roofline)
             roof.addRow({r.result.kernel, r.result.tier,
                          r.result.bits ? std::to_string(r.result.bits)
                                        : "-",
+                         std::to_string(r.result.n),
+                         r.result.seq ? std::to_string(r.result.seq)
+                                      : "-",
                          ConsoleTable::num(r.result.gbPerSec, 2),
                          ConsoleTable::num(r.measuredGbPerSec, 2),
                          ConsoleTable::num(r.arithmeticIntensity, 1),
@@ -321,5 +357,5 @@ main(int argc, char **argv)
         std::printf("\n(no roofline: hardware counters unavailable)\n");
     }
 
-    return 0;
+    return mismatches == 0 ? 0 : 1;
 }

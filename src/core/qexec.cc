@@ -73,10 +73,10 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     }
 
     // Token-blocked execution: each lutDot call runs a chunk of weight
-    // rows against up to seqTile tokens (the executing tier's register
-    // block, 8 for generic/avx2 and 16 for avx512), straight off the
-    // untransposed activation rows — one decoded index vector serves
-    // every token of the block. Every y(s, o) follows the lutDot
+    // rows against up to seqTile tokens (the executing tier's token
+    // block per call, 8 for generic/avx2 and 16 for avx512), straight
+    // off the untransposed activation rows; the tier register-blocks
+    // the call internally. Every y(s, o) follows the lutDot
     // contract (kernels/kernels.hh) and then adds the bias and the
     // row's outlier corrections in double, in row order, so the
     // result does not depend on the tier, the block a token lands in,
@@ -132,31 +132,38 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         // kRowChunk rows per kernel call.
         constexpr std::size_t kRowChunk = 8;
         float sums[kRowChunk * kMaxSeqTile];
+        float ytile[kMaxSeqTile * kRowChunk] = {};
         for (std::size_t b0 = s0; b0 < s1; b0 += tile_w) {
             std::size_t n = std::min(tile_w, s1 - b0);
+            const float *xb = x.row(b0).data();
             for (std::size_t c0 = o0; c0 < o1; c0 += kRowChunk) {
                 std::size_t nr = std::min(kRowChunk, o1 - c0);
                 kn.lutDot(rows + (c0 - o0) * in, nr, in,
-                          weights.centroids.data(), k, x.row(b0).data(),
-                          in, n, sums);
+                          weights.centroids.data(), k, xb, in, n, sums);
+                // Each row's n tokens run side by side through bias
+                // and corrections, so their double chains overlap;
+                // each (o, s) still adds its terms in row order. The
+                // chunk's outputs then go out one token row at a time
+                // rather than as n strided column stores.
                 for (std::size_t r = 0; r < nr; ++r) {
                     std::size_t o = c0 + r;
-                    const OutlierTerm *terms =
-                        outliers.data() + outlierRowStart[o];
-                    std::size_t n_terms =
-                        outlierRowStart[o + 1] - outlierRowStart[o];
                     auto bias_o = static_cast<double>(bias(o));
-                    for (std::size_t l = 0; l < n; ++l) {
-                        const float *xrow = x.row(b0 + l).data();
-                        double a =
-                            bias_o + static_cast<double>(sums[r * n + l]);
-                        for (std::size_t t = 0; t < n_terms; ++t)
-                            a += static_cast<double>(terms[t].correction)
-                                 * static_cast<double>(
-                                     xrow[terms[t].column]);
-                        y.row(b0 + l).data()[o] = static_cast<float>(a);
+                    double a[kMaxSeqTile] = {};
+                    for (std::size_t l = 0; l < n; ++l)
+                        a[l] = bias_o + static_cast<double>(sums[r * n + l]);
+                    for (std::size_t t = outlierRowStart[o];
+                         t < outlierRowStart[o + 1]; ++t) {
+                        auto c = static_cast<double>(outliers[t].correction);
+                        const float *xc = xb + outliers[t].column;
+                        for (std::size_t l = 0; l < n; ++l)
+                            a[l] += c * static_cast<double>(xc[l * in]);
                     }
+                    for (std::size_t l = 0; l < n; ++l)
+                        ytile[l * kRowChunk + r] = static_cast<float>(a[l]);
                 }
+                for (std::size_t l = 0; l < n; ++l)
+                    std::copy_n(ytile + l * kRowChunk, nr,
+                                y.row(b0 + l).data() + c0);
             }
         }
     });

@@ -15,9 +15,10 @@
  * (deliberately NOT fmadd), the in % 16 tail is a masked add, and
  * centroid lookup is an exact vpermps (B <= 4), vpermi2ps (B = 5) or
  * gather (B >= 6) — so the quantized FC output is bit-identical to the
- * generic tier. A call register-blocks up to 16 tokens
- * (KernelSet::seqTile == 16) on one looked-up weight vector, and up
- * to four rows on one loaded activation vector.
+ * generic tier. A call takes up to 16 tokens (KernelSet::seqTile)
+ * and runs them through one register micro-tile of up to four rows x
+ * four tokens: each looked-up weight vector feeds four tokens and each
+ * loaded activation vector four rows.
  *
  * Packed-row decode: when the CPU also has AVX-512 VBMI, groups of 64
  * B-bit indexes (B <= 6) decode with three instructions — vpermb
@@ -75,6 +76,8 @@ namespace {
 constexpr std::size_t kTile = 16;
 static_assert(kTile <= kMaxSeqTile,
               "avx512 tile width exceeds kMaxSeqTile");
+/** Rows and tokens of lutDot's register micro-tile. */
+constexpr std::size_t kMicro = 4;
 
 /**
  * Vector expf, the AVX2 tier's Cephes polynomial widened to 16 lanes.
@@ -466,12 +469,16 @@ lutBlockAvx512(const std::uint8_t *idx, std::size_t in,
     });
 }
 
-/** lutBlockAvx512<Kind, R, n> for n = 1..N, indexed by n - 1. */
-template <int Kind, std::size_t R, std::size_t... N>
+/** lutBlockAvx512<Kind, R, NT> for R, NT in 1..4, indexed by
+ * [R - 1][NT - 1]. */
+template <int Kind, std::size_t... R>
 constexpr auto
-lutBlocksAvx512(std::index_sequence<N...>)
+lutTilesAvx512(std::index_sequence<R...>)
 {
-    return std::array{&lutBlockAvx512<Kind, R, N + 1>...};
+    return std::array{std::array{&lutBlockAvx512<Kind, R + 1, 1>,
+                                 &lutBlockAvx512<Kind, R + 1, 2>,
+                                 &lutBlockAvx512<Kind, R + 1, 3>,
+                                 &lutBlockAvx512<Kind, R + 1, 4>}...};
 }
 
 template <int Kind>
@@ -481,42 +488,24 @@ lutDotKindAvx512(const std::uint8_t *idx, std::size_t rows,
                  const float *x, std::size_t ldx, std::size_t seq,
                  float *sums)
 {
-    static constexpr auto quads =
-        lutBlocksAvx512<Kind, 4>(std::make_index_sequence<4>{});
-    static constexpr auto pairs =
-        lutBlocksAvx512<Kind, 2>(std::make_index_sequence<8>{});
-    static constexpr auto singles =
-        lutBlocksAvx512<Kind, 1>(std::make_index_sequence<8>{});
+    static constexpr auto tiles =
+        lutTilesAvx512<Kind>(std::make_index_sequence<4>{});
     const LutAvx512<Kind> lut(table, k);
-    // A full 16-token tile keeps 16 accumulators + 2 table registers +
-    // the weight vector inside the 32 zmm registers. Shorter calls
-    // block every remaining token (up to 8) on one lookup and several
-    // rows on one activation load — four rows up to 4 tokens, two up
-    // to 8 (at most 16 accumulators) — so short requests run enough
-    // independent add chains not to wait on add latency.
-    for (std::size_t s = 0; s < seq;) {
-        std::size_t n = seq - s >= 16 ? 16 : std::min<std::size_t>(
-                                                 seq - s, 8);
-        const float *xs = x + s * ldx;
-        for (std::size_t r = 0; r < rows;) {
-            const std::uint8_t *ir = idx + r * in;
-            float *out = sums + r * seq + s;
-            if (n == 16) {
-                lutBlockAvx512<Kind, 1, 16>(ir, in, lut, xs, ldx, out,
-                                            seq);
-                r += 1;
-            } else if (n <= 4 && rows - r >= 4) {
-                quads[n - 1](ir, in, lut, xs, ldx, out, seq);
-                r += 4;
-            } else if (rows - r >= 2) {
-                pairs[n - 1](ir, in, lut, xs, ldx, out, seq);
-                r += 2;
-            } else {
-                singles[n - 1](ir, in, lut, xs, ldx, out, seq);
-                r += 1;
-            }
+    // One micro-tile family: up to four rows x four tokens, so each
+    // looked-up weight vector feeds four tokens and each activation
+    // load four rows (16 accumulators + 4 weights + 2 table registers
+    // of the 32 zmm). Four token rows at a time keep their activation
+    // lines in L1 even when rows sit a multiple of 4 KiB apart
+    // (in = 3072): a 16-token tile put 16 lines per step into one L1
+    // set, more than its 12 ways. Tokens are the outer loop, so each
+    // token group's lines serve every row of the call.
+    for (std::size_t s = 0; s < seq; s += kMicro) {
+        std::size_t nt = std::min(seq - s, kMicro);
+        for (std::size_t r = 0; r < rows; r += kMicro) {
+            std::size_t nr = std::min(rows - r, kMicro);
+            tiles[nr - 1][nt - 1](idx + r * in, in, lut, x + s * ldx,
+                                  ldx, sums + r * seq + s, seq);
         }
-        s += n;
     }
 }
 

@@ -45,11 +45,11 @@
 namespace gobo {
 
 /**
- * Default register-block width of lutDot (tokens that share one
- * decoded index vector per call) and the width of the generic and
- * avx2 tiers. The *active* width is the per-tier KernelSet::seqTile
- * (16 for avx512); kMaxSeqTile bounds every tier's width so per-call
- * sum buffers can be sized statically.
+ * Tokens per lutDot call (KernelSet::seqTile) of the generic and avx2
+ * tiers. The *active* value is the per-tier KernelSet::seqTile (16 for
+ * avx512); kMaxSeqTile bounds every tier's so per-call sum buffers can
+ * be sized statically. How a tier register-blocks the rows and tokens
+ * of one call is internal to the tier.
  */
 inline constexpr std::size_t kSeqTile = 8;
 inline constexpr std::size_t kMaxSeqTile = 16;
@@ -74,9 +74,11 @@ struct KernelSet
      */
     bool reassociates;
     /**
-     * Tokens per lutDot call for this tier (<= kMaxSeqTile): the
-     * register-block width qexec hands the kernel at once, and the
-     * default lane count of the serve batch former's tiles.
+     * Tokens per lutDot call for this tier (<= kMaxSeqTile): the token
+     * block qexec hands the kernel at once, and the default lane count
+     * of the serve batch former's tiles. The register micro-tile the
+     * tier runs inside one call is its own (four tokens on avx2 and
+     * avx512).
      */
     std::size_t seqTile;
 
@@ -111,7 +113,7 @@ struct KernelSet
      *
      * Every tier computes exactly these bits. Tiers differ only in
      * how they look the centroids up (always exact) and in how many
-     * rows and tokens share one register block.
+     * rows and tokens share one register micro-tile.
      */
     void (*lutDot)(const std::uint8_t *idx, std::size_t rows,
                    std::size_t in, const float *table, std::size_t k,

@@ -86,8 +86,8 @@ struct ServeOptions
      * 0 disables deadline shedding. */
     std::uint64_t requestDeadlineUs = 0;
     /** Lanes per dispatch tile. 0 (the default) resolves to the
-     * executing kernel tier's KernelSet::seqTile (its lutDot
-     * register-block width) at server construction; the resolved
+     * executing kernel tier's KernelSet::seqTile (the tokens one
+     * lutDot call takes) at server construction; the resolved
      * value is what gets stamped into the options JSON. */
     std::size_t tileLanes = 0;
     /** Length-band granularity: band = (len - 1) / bandWidth. */

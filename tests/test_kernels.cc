@@ -7,7 +7,7 @@
  *     pre-kernel-layer scalar code, and its quantized engine to the
  *     lutDot contract (golden logits);
  *   - lutDot follows its numeric contract (kernels.hh) bit for bit on
- *     every tier, at every register-block width, table size and
+ *     every tier, at every micro-tile shape, table size and
  *     in % 16 tail, asserted against a test-side scalar implementation;
  *     whole QuantizedLinear forwards match the same contract on every
  *     tier and thread count, up to paper width, and stay
@@ -399,7 +399,7 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
 // Compressed-domain forward: exact against the lutDot contract for
 // every tier, B, input width (1 and 13 = tail-only rows, 257 = a tail
 // after full 16-groups) and sequence length (1 = the pooler; 7..9,
-// 15..17, 31..33 bracket the 8- and 16-token register blocks), and
+// 15..17, 31..33 bracket the 8- and 16-token blocks per call), and
 // within tolerance of the paper's bucket order. Random GOBO-quantized
 // layers (QuantizedLinearTest.PackedFuzzAcrossRandomLayers) add ragged
 // shapes whose row bit offsets straddle byte and group boundaries.
@@ -590,7 +590,7 @@ TEST(LutKernels, MatchesContractOnEveryTier)
             for (std::size_t in : {std::size_t{1}, std::size_t{13},
                                    std::size_t{24}, std::size_t{64},
                                    std::size_t{257}}) {
-                // Five rows: register-blocked pairs plus an odd one.
+                // Five rows: a full 4-row tile plus a remainder.
                 const std::size_t rows = 5;
                 std::vector<std::uint8_t> idx(rows * in);
                 for (auto &v : idx)
@@ -610,6 +610,29 @@ TEST(LutKernels, MatchesContractOnEveryTier)
                             << "bits=" << bits << " in=" << in
                             << " r=" << r << " s=" << s;
             }
+            // Paper FFN width with token rows 16 KiB apart, so every
+            // token's activation lines share their L1 set: nine rows
+            // (two full 4-row tiles and a remainder) at every token
+            // count up to one 16-token call plus one.
+            const std::size_t in = 3072, ldx = 4096, rows = 9;
+            std::vector<std::uint8_t> idx(rows * in);
+            for (auto &v : idx)
+                v = static_cast<std::uint8_t>(eng() % k);
+            auto x = randomVec(17 * ldx, eng());
+            for (std::size_t seq = 1; seq <= 17; ++seq) {
+                std::vector<float> sums(rows * seq, kNan);
+                tier->lutDot(idx.data(), rows, in, table.data(), k,
+                             x.data(), ldx, seq, sums.data());
+                for (std::size_t r = 0; r < rows; ++r)
+                    for (std::size_t s = 0; s < seq; ++s)
+                        ASSERT_EQ(sums[r * seq + s],
+                                  contractSum(idx.data() + r * in, in,
+                                              table.data(),
+                                              x.data() + s * ldx))
+                            << "bits=" << bits << " in=" << in
+                            << " seq=" << seq << " r=" << r
+                            << " s=" << s;
+            }
         }
     }
 }
@@ -617,12 +640,13 @@ TEST(LutKernels, MatchesContractOnEveryTier)
 TEST(LutKernels, BlockingAndTableSizeInvariant)
 {
     // A (row, token) sum must not depend on how many rows and tokens
-    // share the call (every register-block width and remainder: 1..5
-    // rows, 1..17 and 31..33 tokens), and tables shorter than 2^B —
-    // which the SIMD lookups zero-pad — must look up the same
-    // centroids as a full one.
+    // share the call (every micro-tile shape and remainder: 1..9 rows,
+    // past two full 4-row tiles and qexec's 8-row chunk; 1..17 and
+    // 31..33 tokens), and tables shorter than 2^B — which the SIMD
+    // lookups zero-pad — must look up the same centroids as a full
+    // one.
     std::mt19937_64 eng(19);
-    const std::size_t in = 40, max_rows = 5, max_seq = 33;
+    const std::size_t in = 40, max_rows = 9, max_seq = 33;
     for (const KernelSet *tier : allTiers()) {
         SCOPED_TRACE(tier->name);
         for (std::size_t k : {std::size_t{3}, std::size_t{8},
