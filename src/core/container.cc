@@ -15,34 +15,44 @@ namespace {
 constexpr std::uint32_t containerMagic = 0x474f4243; // "GOBC"
 constexpr std::uint32_t containerVersion = 1;
 
-void
-writeConfig(std::ostream &os, const ModelConfig &c)
-{
-    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(c.family));
-    writePod<std::uint64_t>(os, c.numLayers);
-    writePod<std::uint64_t>(os, c.hidden);
-    writePod<std::uint64_t>(os, c.intermediate);
-    writePod<std::uint64_t>(os, c.numHeads);
-    writePod<std::uint64_t>(os, c.vocabSize);
-    writePod<std::uint64_t>(os, c.maxPosition);
-    writeString(os, c.name);
-}
+/** parameters()' leading embedding tensors, stored before the FCs. */
+constexpr std::size_t kEmbeddingParams = 4;
 
-ModelConfig
-readConfig(std::istream &is)
+/**
+ * The one container reader: the FP32-resident parameters (a quantized
+ * word embedding decoded) and the FC records in fcLayers() order,
+ * every stored tensor and record checked against the dims its config
+ * defines.
+ */
+PackedModel
+readPackedModel(std::istream &is)
 {
-    ModelConfig c;
-    c.family = static_cast<ModelFamily>(readPod<std::uint32_t>(is));
-    c.numLayers = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.hidden = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.intermediate = static_cast<std::size_t>(
-        readPod<std::uint64_t>(is));
-    c.numHeads = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.vocabSize = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.maxPosition = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.name = readString(is);
-    c.check();
-    return c;
+    PackedModel parts{
+        readModelHeader(is, containerMagic, containerVersion), {}};
+    auto emb_bits = readPod<std::uint32_t>(is);
+
+    // Every stored tensor and record must have the dims BertModel(cfg)
+    // gives its parameter (file order as in saveCompressedModel).
+    auto params = parts.fp32.parameters();
+    auto read_record = [&](const ParamRef &p) {
+        QuantizedTensor q = QuantizedTensor::load(is);
+        checkParamShape(p.name, p.shape, {q.rows, q.cols});
+        return q;
+    };
+    for (std::size_t p = 0; p < kEmbeddingParams; ++p) {
+        if (p == 0 && emb_bits > 0)
+            *params[p].tensor = read_record(params[p]).dequantize();
+        else
+            readParam(is, params[p]);
+    }
+    parts.fc.reserve(parts.fp32.config().numFcLayers());
+    for (const auto &p : params)
+        if (p.fcWeight)
+            parts.fc.push_back(read_record(p));
+    for (std::size_t p = kEmbeddingParams; p < params.size(); ++p)
+        if (!params[p].fcWeight)
+            readParam(is, params[p]);
+    return parts;
 }
 
 } // namespace
@@ -61,43 +71,25 @@ saveCompressedModel(std::ostream &os, const BertModel &model,
             q[i] = std::move(t);
         });
 
-    const auto &cfg = model.config();
-    writePod(os, containerMagic);
-    writePod(os, containerVersion);
-    writeConfig(os, cfg);
-    writePod<std::uint64_t>(os, model.headW.rows());
+    writeModelHeader(os, containerMagic, containerVersion, model);
     writePod<std::uint32_t>(os, options.embeddingBits);
 
-    // Word embedding: quantized when requested, raw otherwise.
-    if (options.embeddingBits > 0)
-        q[n_fc].save(os);
-    else
-        writeTensor(os, model.wordEmbedding);
-    writeTensor(os, model.positionEmbedding);
-    writeTensor(os, model.embLnGamma);
-    writeTensor(os, model.embLnBeta);
-
-    // FC weights in enumeration order, each as a quantized tensor.
+    // The embedding parameters (the word embedding quantized when
+    // requested), the FC records in fcLayers() order, then every other
+    // FP32 parameter in parameters() order: biases and layer norms per
+    // encoder, pooler bias, head.
+    auto params = model.parameters();
+    for (std::size_t p = 0; p < kEmbeddingParams; ++p) {
+        if (p == 0 && options.embeddingBits > 0)
+            q[n_fc].save(os);
+        else
+            writeTensor(os, *params[p].tensor);
+    }
     for (std::size_t i = 0; i < n_fc; ++i)
         q[i].save(os);
-
-    // FP32 remainder: biases and layer norms per encoder, pooler bias,
-    // head.
-    for (const auto &enc : model.encoders) {
-        writeTensor(os, enc.queryB);
-        writeTensor(os, enc.keyB);
-        writeTensor(os, enc.valueB);
-        writeTensor(os, enc.attnOutB);
-        writeTensor(os, enc.attnLnGamma);
-        writeTensor(os, enc.attnLnBeta);
-        writeTensor(os, enc.interB);
-        writeTensor(os, enc.outB);
-        writeTensor(os, enc.outLnGamma);
-        writeTensor(os, enc.outLnBeta);
-    }
-    writeTensor(os, model.poolerB);
-    writeTensor(os, model.headW);
-    writeTensor(os, model.headB);
+    for (std::size_t p = kEmbeddingParams; p < params.size(); ++p)
+        if (!params[p].fcWeight)
+            writeTensor(os, *params[p].tensor);
     return report;
 }
 
@@ -115,63 +107,11 @@ saveCompressedModel(const std::string &path, const BertModel &model,
 BertModel
 loadCompressedModel(std::istream &is)
 {
-    fatalIf(readPod<std::uint32_t>(is) != containerMagic,
-            "bad compressed-model magic");
-    auto version = readPod<std::uint32_t>(is);
-    fatalIf(version != containerVersion,
-            "unsupported compressed-model version ", version);
-
-    ModelConfig cfg = readConfig(is);
-    auto head_rows = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    auto emb_bits = readPod<std::uint32_t>(is);
-
-    BertModel model(cfg);
-    model.resizeHead(head_rows);
-
-    auto expect_shape = [](const Tensor &t, std::size_t rows,
-                           std::size_t cols, const char *what) {
-        fatalIf(t.rows() != rows || t.cols() != cols,
-                "compressed model shape mismatch for ", what);
-    };
-
-    if (emb_bits > 0) {
-        QuantizedTensor q = QuantizedTensor::load(is);
-        Tensor t = q.dequantize();
-        expect_shape(t, cfg.vocabSize, cfg.hidden, "word embedding");
-        model.wordEmbedding = std::move(t);
-    } else {
-        model.wordEmbedding = readTensor(is);
-        expect_shape(model.wordEmbedding, cfg.vocabSize, cfg.hidden,
-                     "word embedding");
-    }
-    model.positionEmbedding = readTensor(is);
-    model.embLnGamma = readTensor(is);
-    model.embLnBeta = readTensor(is);
-
-    for (auto &layer : model.fcLayers()) {
-        QuantizedTensor q = QuantizedTensor::load(is);
-        Tensor t = q.dequantize();
-        expect_shape(t, layer.weight->rows(), layer.weight->cols(),
-                     layer.name.c_str());
-        *layer.weight = std::move(t);
-    }
-
-    for (auto &enc : model.encoders) {
-        enc.queryB = readTensor(is);
-        enc.keyB = readTensor(is);
-        enc.valueB = readTensor(is);
-        enc.attnOutB = readTensor(is);
-        enc.attnLnGamma = readTensor(is);
-        enc.attnLnBeta = readTensor(is);
-        enc.interB = readTensor(is);
-        enc.outB = readTensor(is);
-        enc.outLnGamma = readTensor(is);
-        enc.outLnBeta = readTensor(is);
-    }
-    model.poolerB = readTensor(is);
-    model.headW = readTensor(is);
-    model.headB = readTensor(is);
-    return model;
+    PackedModel parts = readPackedModel(is);
+    auto refs = parts.fp32.fcLayers();
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        *refs[i].weight = parts.fc[i].dequantize();
+    return std::move(parts.fp32);
 }
 
 BertModel
@@ -180,6 +120,20 @@ loadCompressedModel(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     fatalIf(!is, "cannot open ", path, " for reading");
     return loadCompressedModel(is);
+}
+
+QuantizedBertModel
+loadPackedModel(std::istream &is)
+{
+    return QuantizedBertModel(readPackedModel(is));
+}
+
+QuantizedBertModel
+loadPackedModel(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    fatalIf(!is, "cannot open ", path, " for reading");
+    return loadPackedModel(is);
 }
 
 } // namespace gobo

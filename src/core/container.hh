@@ -7,9 +7,17 @@
  * centroid table, FP32 outliers), the word embedding optionally
  * quantized the same way, and everything the paper leaves FP32 —
  * biases, layer norms, position embeddings, the task head — stored
- * raw. Loading decodes back into a plain FP32 BertModel, which is what
- * makes GOBO "plug-in compatible with any execution engine": the
- * loaded model runs through the unmodified inference engine.
+ * raw. One reader checks every stored tensor and record against the
+ * dims the config defines and yields the two halves: the FP32-resident
+ * parameters and the packed FC records. Two loaders sit on it:
+ *
+ *  - loadCompressedModel decodes the records into a plain FP32
+ *    BertModel, which is what makes GOBO "plug-in compatible with any
+ *    execution engine": the loaded model runs through the unmodified
+ *    FP32 engine.
+ *  - loadPackedModel hands the records straight to a
+ *    QuantizedBertModel: the packed engine serves exactly the layers
+ *    in the file, with no quantize step and no FP32 FC tensor.
  *
  * The file size is the honest end-to-end measurement behind the
  * compression-ratio claims: compare it against the FP32 model written
@@ -22,6 +30,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "core/qexec.hh"
 #include "core/quantizer.hh"
 #include "model/model.hh"
 
@@ -44,12 +53,19 @@ ModelQuantReport saveCompressedModel(const std::string &path,
 
 /**
  * Load a container and decode it into an FP32 model. Fatal on
- * malformed input.
+ * malformed input, including any tensor or record whose dims differ
+ * from the ones its config defines.
  */
 BertModel loadCompressedModel(std::istream &is);
 
 /** File variant. Fatal if the file cannot be opened. */
 BertModel loadCompressedModel(const std::string &path);
+
+/** Load a container as a packed model serving its stored FC layers. */
+QuantizedBertModel loadPackedModel(std::istream &is);
+
+/** File variant. Fatal if the file cannot be opened. */
+QuantizedBertModel loadPackedModel(const std::string &path);
 
 } // namespace gobo
 

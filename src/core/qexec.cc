@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "exec/scratch.hh"
 #include "kernels/kernels.hh"
 #include "model/footprint.hh"
-#include "nn/encoder.hh"
 #include "obs/observer.hh"
-#include "obs/probe.hh"
-#include "tensor/ops.hh"
 #include "util/logging.hh"
 
 namespace gobo {
@@ -206,131 +204,84 @@ QuantizedLinear::residentBytes() const
 
 namespace {
 
+/** Trace label of FC layer `layer` of `n_fc`: "enc[e].query", "pooler". */
 std::string
-layerLabel(FcKind kind, std::size_t encoder)
+layerLabel(std::size_t layer, std::size_t n_fc)
 {
-    return kind == FcKind::Pooler
-               ? fcKindName(kind)
-               : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
+    if (layer + 1 == n_fc)
+        return fcKindName(FcKind::Pooler);
+    return "enc[" + std::to_string(layer / std::size(encoderFcs)) + "]."
+           + fcKindName(encoderFcs[layer % std::size(encoderFcs)].kind);
 }
 
-/** quantizeModel's tensors: fcLayers() order, then the embedding. */
-std::vector<QuantizedTensor>
-quantizeAll(const BertModel &model, const ModelQuantOptions &options)
+/**
+ * Quantize `model` into packed FC records plus a copy of its other
+ * parameters. Nothing FC-sized is copied, and a quantized word
+ * embedding is served decoded in place of the FP32 one.
+ */
+PackedModel
+quantizeParts(const BertModel &model, const ModelQuantOptions &options)
 {
-    std::vector<QuantizedTensor> q(model.config().numFcLayers()
-                                   + (options.embeddingBits > 0));
+    const std::size_t n_fc = model.config().numFcLayers();
+    const bool decoded_embedding = options.embeddingBits > 0;
+    PackedModel parts{
+        BertModel::forLoading(model.config(), model.headW.rows()), {}};
+    parts.fc.resize(n_fc + decoded_embedding);
     quantizeModel(model, options,
                   [&](std::size_t i, QuantizedTensor t,
-                      const LayerQuantStats &) { q[i] = std::move(t); });
-    return q;
+                      const LayerQuantStats &) { parts.fc[i] = std::move(t); });
+    if (decoded_embedding) {
+        parts.fp32.wordEmbedding = parts.fc.back().dequantize();
+        parts.fc.pop_back();
+    }
+    auto src = model.parameters();
+    auto dst = parts.fp32.parameters();
+    for (std::size_t p = 0; p < src.size(); ++p)
+        if (!src[p].fcWeight
+            && !(decoded_embedding && src[p].tensor == &model.wordEmbedding))
+            *dst[p].tensor = *src[p].tensor;
+    return parts;
 }
 
 } // namespace
 
 QuantizedBertModel::QuantizedBertModel(const BertModel &model,
                                        const ModelQuantOptions &options)
-    : QuantizedBertModel(model, quantizeAll(model, options))
+    : QuantizedBertModel(quantizeParts(model, options))
 {
 }
 
-QuantizedBertModel::QuantizedBertModel(const BertModel &model,
-                                       std::vector<QuantizedTensor> q)
-    : cfg(model.config()),
-      wordEmbedding(q.size() > cfg.numFcLayers() ? q.back().dequantize()
-                                                 : model.wordEmbedding),
-      positionEmbedding(model.positionEmbedding),
-      embLnGamma(model.embLnGamma),
-      embLnBeta(model.embLnBeta),
-      pooler(std::move(q[cfg.numFcLayers() - 1]), model.poolerB,
-             layerLabel(FcKind::Pooler, cfg.numLayers)),
-      headW(model.headW),
-      headB(model.headB)
+QuantizedBertModel::QuantizedBertModel(PackedModel parts)
+    : fp32(std::move(parts.fp32))
 {
-    encoders.reserve(model.encoders.size());
-    for (std::size_t e = 0; e < model.encoders.size(); ++e) {
-        const auto &enc = model.encoders[e];
-        auto layer = [&](std::size_t k, const Tensor &bias, FcKind kind) {
-            return QuantizedLinear(std::move(q[e * 6 + k]), bias,
-                                   layerLabel(kind, e));
-        };
-        encoders.push_back(EncoderLayers{
-            layer(0, enc.queryB, FcKind::Query),
-            layer(1, enc.keyB, FcKind::Key),
-            layer(2, enc.valueB, FcKind::Value),
-            layer(3, enc.attnOutB, FcKind::AttnOutput),
-            layer(4, enc.interB, FcKind::Intermediate),
-            layer(5, enc.outB, FcKind::Output),
-            enc.attnLnGamma, enc.attnLnBeta, enc.outLnGamma,
-            enc.outLnBeta});
+    const std::size_t n_fc = config().numFcLayers();
+    fatalIf(parts.fc.size() != n_fc, "packed model has ", parts.fc.size(),
+            " FC records, config needs ", n_fc);
+    fc.reserve(n_fc);
+    // parameters() lists each FC weight matrix right before its bias.
+    auto params = fp32.parameters();
+    for (std::size_t p = 0; p < params.size(); ++p) {
+        if (!params[p].fcWeight)
+            continue;
+        QuantizedTensor &q = parts.fc[fc.size()];
+        checkParamShape(params[p].name, params[p].shape, {q.rows, q.cols});
+        fc.emplace_back(std::move(q), *params[p + 1].tensor,
+                        layerLabel(fc.size(), n_fc));
     }
+}
+
+FcStep
+QuantizedBertModel::fcStep() const
+{
+    return [this](const ExecContext &ctx, std::size_t layer,
+                  const Tensor &x) { return fc[layer].forward(ctx, x); };
 }
 
 Tensor
 QuantizedBertModel::encode(const ExecContext &ctx,
                            std::span<const std::int32_t> token_ids) const
 {
-    fatalIf(token_ids.empty(), "encode on empty sequence");
-    fatalIf(token_ids.size() > cfg.maxPosition, "sequence length ",
-            token_ids.size(), " exceeds maxPosition ", cfg.maxPosition);
-
-    Tensor x(token_ids.size(), cfg.hidden);
-    {
-        ScopedSpan span(ctx.obs, "embed");
-        for (std::size_t s = 0; s < token_ids.size(); ++s) {
-            auto id = token_ids[s];
-            fatalIf(id < 0
-                        || static_cast<std::size_t>(id) >= cfg.vocabSize,
-                    "token id ", id, " out of vocab ", cfg.vocabSize);
-            auto word = wordEmbedding.row(static_cast<std::size_t>(id));
-            auto posv = positionEmbedding.row(s);
-            auto dst = x.row(s);
-            for (std::size_t c = 0; c < dst.size(); ++c)
-                dst[c] = word[c] + posv[c];
-        }
-        layerNormInplace(ctx, x, embLnGamma.flat(), embLnBeta.flat());
-    }
-    probeActivation(ctx.obs, "embed", x);
-
-    for (std::size_t e = 0; e < encoders.size(); ++e) {
-        const auto &enc = encoders[e];
-        ScopedSpan layer_span(ctx.obs, "layer", e);
-        Tensor a;
-        {
-            ScopedSpan span(ctx.obs, "attention");
-            Tensor q = enc.query.forward(ctx, x);
-            Tensor k = enc.key.forward(ctx, x);
-            Tensor v = enc.value.forward(ctx, x);
-            Tensor attn_ctx =
-                multiHeadAttention(ctx, q, k, v, cfg.numHeads);
-            Tensor attn_out = enc.attnOut.forward(ctx, attn_ctx);
-            a = add(x, attn_out);
-        }
-        {
-            ScopedSpan span(ctx.obs, "layernorm");
-            layerNormInplace(ctx, a, enc.attnLnGamma.flat(),
-                             enc.attnLnBeta.flat());
-        }
-
-        Tensor y;
-        {
-            ScopedSpan span(ctx.obs, "ffn");
-            Tensor inter = enc.inter.forward(ctx, a);
-            geluInplace(ctx, inter);
-            Tensor out = enc.out.forward(ctx, inter);
-            y = add(a, out);
-        }
-        {
-            ScopedSpan span(ctx.obs, "layernorm");
-            layerNormInplace(ctx, y, enc.outLnGamma.flat(),
-                             enc.outLnBeta.flat());
-        }
-        x = std::move(y);
-        if (probeAttached(ctx.obs))
-            probeActivation(ctx.obs,
-                            "layer[" + std::to_string(e) + "]", x);
-    }
-    return x;
+    return encodeSequence(ctx, fp32, token_ids, fcStep());
 }
 
 Tensor
@@ -343,17 +294,7 @@ Tensor
 QuantizedBertModel::classify(const ExecContext &ctx,
                              std::span<const std::int32_t> token_ids) const
 {
-    Tensor hidden = encode(ctx, token_ids);
-    Tensor first(1, hidden.cols());
-    auto src = hidden.row(0);
-    std::copy(src.begin(), src.end(), first.row(0).begin());
-    Tensor pooled = pooler.forward(ctx, first);
-    tanhInplace(ctx, pooled);
-    Tensor logits2d = linear(ctx, pooled, headW, headB);
-    Tensor logits(logits2d.cols());
-    auto row = logits2d.row(0);
-    std::copy(row.begin(), row.end(), logits.flat().begin());
-    return logits;
+    return gobo::classify(ctx, fp32, token_ids, fcStep());
 }
 
 Tensor
@@ -365,32 +306,19 @@ QuantizedBertModel::classify(std::span<const std::int32_t> token_ids) const
 OpCounts
 QuantizedBertModel::opCounts(std::size_t seq) const
 {
-    OpCounts total;
-    for (const auto &enc : encoders) {
-        total += enc.query.opCounts(seq);
-        total += enc.key.opCounts(seq);
-        total += enc.value.opCounts(seq);
-        total += enc.attnOut.opCounts(seq);
-        total += enc.inter.opCounts(seq);
-        total += enc.out.opCounts(seq);
-    }
-    total += pooler.opCounts(1);
+    // The pooler sees one token (the first), every other layer `seq`.
+    OpCounts total = fc.back().opCounts(1);
+    for (std::size_t i = 0; i + 1 < fc.size(); ++i)
+        total += fc[i].opCounts(seq);
     return total;
 }
 
 OpCounts
 QuantizedBertModel::denseOpCounts(std::size_t seq) const
 {
-    OpCounts total;
-    for (const auto &enc : encoders) {
-        total += enc.query.denseOpCounts(seq);
-        total += enc.key.denseOpCounts(seq);
-        total += enc.value.denseOpCounts(seq);
-        total += enc.attnOut.denseOpCounts(seq);
-        total += enc.inter.denseOpCounts(seq);
-        total += enc.out.denseOpCounts(seq);
-    }
-    total += pooler.denseOpCounts(1);
+    OpCounts total = fc.back().denseOpCounts(1);
+    for (std::size_t i = 0; i + 1 < fc.size(); ++i)
+        total += fc[i].denseOpCounts(seq);
     return total;
 }
 
@@ -398,15 +326,8 @@ std::size_t
 QuantizedBertModel::compressedWeightBytes() const
 {
     std::size_t bytes = 0;
-    for (const auto &enc : encoders) {
-        bytes += enc.query.compressed().payloadBytes();
-        bytes += enc.key.compressed().payloadBytes();
-        bytes += enc.value.compressed().payloadBytes();
-        bytes += enc.attnOut.compressed().payloadBytes();
-        bytes += enc.inter.compressed().payloadBytes();
-        bytes += enc.out.compressed().payloadBytes();
-    }
-    bytes += pooler.compressed().payloadBytes();
+    for (const auto &layer : fc)
+        bytes += layer.compressed().payloadBytes();
     return bytes;
 }
 
@@ -414,30 +335,16 @@ void
 QuantizedBertModel::forEachLayer(
     const std::function<void(const QuantizedLinear &)> &fn) const
 {
-    for (const auto &enc : encoders) {
-        fn(enc.query);
-        fn(enc.key);
-        fn(enc.value);
-        fn(enc.attnOut);
-        fn(enc.inter);
-        fn(enc.out);
-    }
-    fn(pooler);
+    for (const auto &layer : fc)
+        fn(layer);
 }
 
 std::size_t
 QuantizedBertModel::residentWeightBytes() const
 {
     std::size_t bytes = 0;
-    for (const auto &enc : encoders) {
-        bytes += enc.query.residentBytes();
-        bytes += enc.key.residentBytes();
-        bytes += enc.value.residentBytes();
-        bytes += enc.attnOut.residentBytes();
-        bytes += enc.inter.residentBytes();
-        bytes += enc.out.residentBytes();
-    }
-    bytes += pooler.residentBytes();
+    for (const auto &layer : fc)
+        bytes += layer.residentBytes();
     return bytes;
 }
 

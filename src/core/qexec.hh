@@ -35,6 +35,7 @@
 #include "exec/context.hh"
 #include "kernels/kernels.hh"
 #include "model/model.hh"
+#include "nn/encoder.hh"
 #include "tensor/tensor.hh"
 
 namespace gobo {
@@ -111,12 +112,6 @@ class QuantizedLinear
     /** Operations the FP32 dense equivalent performs. */
     OpCounts denseOpCounts(std::size_t seq) const;
 
-    /** Output features. */
-    std::size_t outFeatures() const { return weights.rows; }
-
-    /** Input features. */
-    std::size_t inFeatures() const { return weights.cols; }
-
     /** The compressed weights (for storage accounting). */
     const QuantizedTensor &compressed() const { return weights; }
 
@@ -150,30 +145,62 @@ class QuantizedLinear
 };
 
 /**
- * A whole model executing its FC layers from the compressed format.
- * Embeddings/biases/norms stay FP32 (as in the paper); the forward
- * pass mirrors nn/encoder exactly, so predictions match a decoded
- * model up to FP reassociation.
+ * A model as the GOBC container stores it: the FP32-resident
+ * parameters (embeddings, layer norms, biases, head) in a BertModel
+ * whose FC weight matrices are empty, plus the FC layers' quantized
+ * records in BertModel::fcLayers() order.
+ */
+struct PackedModel
+{
+    BertModel fp32;
+    std::vector<QuantizedTensor> fc;
+};
+
+/**
+ * A whole model executing its FC layers from the compressed format:
+ * the FP32-resident parameters plus one QuantizedLinear per FC layer.
+ * Embeddings, biases and norms stay FP32 (as in the paper); encode and
+ * classify run nn/encoder's forward with QuantizedLinear::forward as
+ * the FC step, so predictions match a decoded model up to FP
+ * reassociation in the FC outputs alone.
  */
 class QuantizedBertModel
 {
   public:
     /**
      * Quantize `model` per `options` into an executable form. The
-     * source model is not modified.
+     * source model is not modified. A quantized word embedding is
+     * served decoded to FP32.
      */
     QuantizedBertModel(const BertModel &model,
                        const ModelQuantOptions &options);
 
-    /** Full encoder stack; mirrors gobo::encodeSequence. */
+    /**
+     * Assemble from stored parts, with no quantize step (the direct
+     * GOBC load). Fatal unless there is one record per FC layer and
+     * each has its layer's shape.
+     */
+    explicit QuantizedBertModel(PackedModel parts);
+
+    /** Hidden states [seq, hidden]: gobo::encodeSequence with fcStep(). */
     Tensor encode(const ExecContext &ctx,
                   std::span<const std::int32_t> token_ids) const;
     Tensor encode(std::span<const std::int32_t> token_ids) const;
 
-    /** Pooler + head logits; mirrors pool() + headLogits(). */
+    /** Head logits [outputs]: gobo::classify with fcStep(). */
     Tensor classify(const ExecContext &ctx,
                     std::span<const std::int32_t> token_ids) const;
     Tensor classify(std::span<const std::int32_t> token_ids) const;
+
+    /**
+     * The packed engine's FC step: FC layer i runs its
+     * QuantizedLinear::forward. It refers to this model, so it must
+     * not outlive it.
+     */
+    FcStep fcStep() const;
+
+    /** The FP32-resident parameters; FC weight matrices are empty. */
+    const BertModel &fp32Parameters() const { return fp32; }
 
     /** Total operations for one sequence. */
     OpCounts opCounts(std::size_t seq) const;
@@ -196,28 +223,11 @@ class QuantizedBertModel
     void forEachLayer(
         const std::function<void(const QuantizedLinear &)> &fn) const;
 
-    const ModelConfig &config() const { return cfg; }
+    const ModelConfig &config() const { return fp32.config(); }
 
   private:
-    /**
-     * Assemble from quantizeModel's tensors: the FC layers in
-     * BertModel::fcLayers() order, then the word embedding if it was
-     * quantized.
-     */
-    QuantizedBertModel(const BertModel &model,
-                       std::vector<QuantizedTensor> layers);
-
-    struct EncoderLayers
-    {
-        QuantizedLinear query, key, value, attnOut, inter, out;
-        Tensor attnLnGamma, attnLnBeta, outLnGamma, outLnBeta;
-    };
-
-    ModelConfig cfg;
-    Tensor wordEmbedding, positionEmbedding, embLnGamma, embLnBeta;
-    std::vector<EncoderLayers> encoders;
-    QuantizedLinear pooler;
-    Tensor headW, headB;
+    BertModel fp32;
+    std::vector<QuantizedLinear> fc;
 };
 
 } // namespace gobo

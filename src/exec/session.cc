@@ -1,6 +1,5 @@
 #include "exec/session.hh"
 
-#include "kernels/kernels.hh"
 #include "nn/encoder.hh"
 #include "obs/observer.hh"
 #include "obs/probe.hh"
@@ -9,19 +8,6 @@
 namespace gobo {
 
 namespace {
-
-/**
- * Bump exec.kernel.<tier> for the tier this context resolves to, so
- * every metrics dump names the SIMD tier that produced its numbers
- * (bench JSON refuses cross-tier diffs on this field).
- */
-void
-recordKernelTier(const ExecContext &ctx)
-{
-    if (ctx.obs)
-        ctx.obs->metrics.add(
-            ctx.obs->kernelTierId(resolveKernels(ctx.kernels).name));
-}
 
 /**
  * RAII sequence accounting: tokens + sequence count on entry, latency
@@ -118,15 +104,16 @@ InferenceSession::config() const
     return fp32 ? fp32->config() : quantized->config();
 }
 
-Tensor
-InferenceSession::encodeSequence(
-    std::span<const std::int32_t> tokens) const
+const BertModel &
+InferenceSession::parameters() const
 {
-    SequenceProbe probe(ctx.obs, tokens.size());
-    ScopedSpan span(ctx.obs, "session.encode");
-    recordKernelTier(ctx);
-    return fp32 ? gobo::encodeSequence(ctx, *fp32, tokens)
-                : quantized->encode(ctx, tokens);
+    return fp32 ? *fp32 : quantized->fp32Parameters();
+}
+
+FcStep
+InferenceSession::fcStep() const
+{
+    return fp32 ? denseFc(*fp32) : quantized->fcStep();
 }
 
 Tensor
@@ -134,58 +121,29 @@ InferenceSession::headLogits(std::span<const std::int32_t> tokens) const
 {
     SequenceProbe probe(ctx.obs, tokens.size());
     ScopedSpan span(ctx.obs, "session.headLogits");
-    recordKernelTier(ctx);
-    Tensor logits;
-    if (quantized) {
-        logits = quantized->classify(ctx, tokens);
-    } else {
-        Tensor hidden = gobo::encodeSequence(ctx, *fp32, tokens);
-        Tensor pooled = pool(ctx, *fp32, hidden);
-        logits = gobo::headLogits(ctx, *fp32, pooled);
-    }
+    Tensor logits = classify(ctx, parameters(), tokens, fcStep());
     // Both engines emit at the same point, so a Capture run on the
     // FP32 session pairs with a Compare run on the quantized one.
     probeActivation(ctx.obs, "logits", logits);
     return logits;
 }
 
-Tensor
-InferenceSession::spanLogits(std::span<const std::int32_t> tokens) const
-{
-    fatalIf(!fp32, "spanLogits needs the FP32 engine");
-    recordKernelTier(ctx);
-    Tensor hidden = gobo::encodeSequence(ctx, *fp32, tokens);
-    return gobo::spanLogits(ctx, *fp32, hidden);
-}
-
-ExecContext
-InferenceSession::innerContext() const
-{
-    // Batch-level and intra-sequence parallelism compose: a
-    // per-sequence loop submitted from inside a batch slot lands on
-    // the submitting worker's own deque, where threads that finished
-    // their (possibly shorter) sequences steal it. The historical
-    // serial degrade once batch_size >= threads left threads idle for
-    // the whole tail of a skewed batch; with stealing, handing the
-    // unchanged context down is both the simple and the fast choice.
-    // Either composition is bit-identical — scheduling never touches
-    // reduction order — so this is purely a scheduling decision. The
-    // observer and kernel tier ride along with the context.
-    return ctx;
-}
+// Batched calls hand the session's context to each per-sequence
+// forward unchanged: its loops become nested pool submissions that
+// threads done with shorter sequences steal. Scheduling never touches
+// reduction order, so results match one-at-a-time calls bit for bit.
 
 std::vector<Tensor>
 InferenceSession::encodeBatch(const TokenBatch &batch) const
 {
     BatchProbe probe(ctx.obs, "session.encodeBatch");
-    recordKernelTier(ctx);
+    const BertModel &params = parameters();
+    const FcStep fc = fcStep();
     std::vector<Tensor> out(batch.size());
-    ExecContext inner = innerContext();
     ctx.parallelFor(batch.size(), [&](std::size_t i) {
-        SequenceProbe seq_probe(inner.obs, batch[i].size());
-        ScopedSpan span(inner.obs, "sequence", i);
-        out[i] = fp32 ? gobo::encodeSequence(inner, *fp32, batch[i])
-                      : quantized->encode(inner, batch[i]);
+        SequenceProbe seq_probe(ctx.obs, batch[i].size());
+        ScopedSpan span(ctx.obs, "sequence", i);
+        out[i] = encodeSequence(ctx, params, batch[i], fc);
     });
     return out;
 }
@@ -205,21 +163,15 @@ InferenceSession::headLogitsBatch(
             "headLogitsBatch: ", requestIds.size(), " request ids for ",
             batch.size(), " sequences");
     BatchProbe probe(ctx.obs, "session.headLogitsBatch");
-    recordKernelTier(ctx);
+    const BertModel &params = parameters();
+    const FcStep fc = fcStep();
     std::vector<Tensor> out(batch.size());
-    ExecContext inner = innerContext();
     ctx.parallelFor(batch.size(), [&](std::size_t i) {
-        SequenceProbe seq_probe(inner.obs, batch[i].size());
-        ScopedSpan span(inner.obs, "sequence", i);
+        SequenceProbe seq_probe(ctx.obs, batch[i].size());
+        ScopedSpan span(ctx.obs, "sequence", i);
         if (!requestIds.empty())
             span.arg("request", requestIds[i]);
-        if (quantized) {
-            out[i] = quantized->classify(inner, batch[i]);
-        } else {
-            Tensor hidden = gobo::encodeSequence(inner, *fp32, batch[i]);
-            Tensor pooled = pool(inner, *fp32, hidden);
-            out[i] = gobo::headLogits(inner, *fp32, pooled);
-        }
+        out[i] = classify(ctx, params, batch[i], fc);
     });
     return out;
 }

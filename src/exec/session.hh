@@ -4,7 +4,9 @@
  *
  * A session owns a model (FP32 BertModel or compressed-domain
  * QuantizedBertModel) together with the ExecContext it runs under, and
- * exposes single-sequence and batched forward passes. Batched calls
+ * exposes single-sequence and batched forward passes. Both engines run
+ * the one nn/encoder forward; the engine only picks its FC step.
+ * Batched calls
  * parallelize *across* sequences on the context's pool, and each
  * per-sequence forward keeps its own intra-sequence parallelism: the
  * pool composes the two levels by sharing nested submissions onto the
@@ -78,25 +80,16 @@ class InferenceSession
 
     /**
      * The FP32 model, for callers that need weight access (task
-     * harness, span head). Fatal on a compressed session.
+     * harness). Fatal on a compressed session.
      */
     const BertModel &model() const;
 
     const ModelConfig &config() const;
 
-    /** Hidden states [seq, hidden] for one sequence. */
-    Tensor encodeSequence(std::span<const std::int32_t> tokens) const;
-
     /** Classification-head logits [outputs] for one sequence. */
     Tensor headLogits(std::span<const std::int32_t> tokens) const;
 
-    /**
-     * Span-extraction logits [seq, 2] for one sequence (FP32 engine
-     * only — the compressed engine keeps the span head FP32-free).
-     */
-    Tensor spanLogits(std::span<const std::int32_t> tokens) const;
-
-    /** encodeSequence over a batch, parallel across sequences. */
+    /** Hidden states [seq, hidden] per sequence, parallel across them. */
     std::vector<Tensor> encodeBatch(const TokenBatch &batch) const;
 
     /** headLogits over a batch, parallel across sequences. */
@@ -115,13 +108,12 @@ class InferenceSession
 
   private:
     /**
-     * Context for the per-sequence forward inside a batched call. The
-     * session's own context rides through unchanged: intra-sequence
-     * loops become nested pool submissions that compose with the
-     * batch-level loop by work-stealing, rather than the historical
-     * all-or-nothing serial degrade once batch_size >= threads.
+     * What the shared nn/encoder forward runs on: the parameters it
+     * reads directly (every one but the FC weights) and the engine's
+     * FC step — the one place the two engines differ.
      */
-    ExecContext innerContext() const;
+    const BertModel &parameters() const;
+    FcStep fcStep() const;
 
     ExecContext ctx;
     std::optional<BertModel> fp32;

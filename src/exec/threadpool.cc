@@ -75,7 +75,7 @@ parseUint64Spec(const char *text)
 std::size_t
 defaultThreads()
 {
-    // Parsed once and cached: innerContext() and friends call this on
+    // Parsed once and cached: contexts built per call reach this on
     // the per-batch path, and getenv+strtol per call was measurable.
     static const std::size_t cached = [] {
         if (const char *env = std::getenv("GOBO_THREADS")) {

@@ -124,8 +124,8 @@ struct KernelSet
      * Expand `n` consecutive `bits`-wide indexes, starting `bitOffset`
      * bits into the packed stream `bytes` (of `byteLen` total bytes),
      * into one byte each. Decode is integer-exact, so tiers may
-     * restructure it freely — the output bytes are identical across
-     * tiers and the decoded-row cache never keys on the tier.
+     * restructure it freely: the output bytes are identical across
+     * tiers.
      */
     void (*decodePackedRow)(const std::uint8_t *bytes,
                             std::size_t byteLen, std::size_t bitOffset,

@@ -4,44 +4,45 @@
 
 namespace gobo {
 
-BertModel::BertModel(ModelConfig config) : cfg(std::move(config))
+ParamShape
+ParamShape::of(const Tensor &t)
+{
+    return t.rank() == 2 ? ParamShape{t.rows(), t.cols()}
+                         : ParamShape{t.size(), 0};
+}
+
+void
+checkParamShape(const std::string &name, ParamShape want, ParamShape got)
+{
+    fatalIf(got != want, "shape mismatch for ", name, ": stored [",
+            got.rows, ", ", got.cols, "], model needs [", want.rows, ", ",
+            want.cols, "]");
+}
+
+BertModel::BertModel(ModelConfig config, std::size_t headRows)
+    : cfg(std::move(config))
 {
     cfg.check();
-    std::size_t h = cfg.hidden;
-    std::size_t inter = cfg.intermediate;
-
-    wordEmbedding = Tensor(cfg.vocabSize, h);
-    positionEmbedding = Tensor(cfg.maxPosition, h);
-    embLnGamma = Tensor(h);
-    embLnBeta = Tensor(h);
-    embLnGamma.fill(1.0f);
-
     encoders.resize(cfg.numLayers);
+    resizeHead(headRows);
+}
+
+BertModel::BertModel(ModelConfig config) : BertModel(std::move(config), 1)
+{
+    for (auto &p : parameters())
+        *p.tensor = p.shape.cols ? Tensor(p.shape.rows, p.shape.cols)
+                                 : Tensor(p.shape.rows);
+    embLnGamma.fill(1.0f);
     for (auto &enc : encoders) {
-        enc.queryW = Tensor(h, h);
-        enc.queryB = Tensor(h);
-        enc.keyW = Tensor(h, h);
-        enc.keyB = Tensor(h);
-        enc.valueW = Tensor(h, h);
-        enc.valueB = Tensor(h);
-        enc.attnOutW = Tensor(h, h);
-        enc.attnOutB = Tensor(h);
-        enc.attnLnGamma = Tensor(h);
-        enc.attnLnBeta = Tensor(h);
         enc.attnLnGamma.fill(1.0f);
-        enc.interW = Tensor(inter, h);
-        enc.interB = Tensor(inter);
-        enc.outW = Tensor(h, inter);
-        enc.outB = Tensor(h);
-        enc.outLnGamma = Tensor(h);
-        enc.outLnBeta = Tensor(h);
         enc.outLnGamma.fill(1.0f);
     }
+}
 
-    poolerW = Tensor(h, h);
-    poolerB = Tensor(h);
-    headW = Tensor(1, h);
-    headB = Tensor(1);
+BertModel
+BertModel::forLoading(ModelConfig config, std::size_t headRows)
+{
+    return BertModel(std::move(config), headRows);
 }
 
 namespace {
@@ -53,19 +54,53 @@ enumerateFcLayers(Model &m)
     std::vector<Ref> out;
     out.reserve(m.config().numFcLayers());
     for (std::size_t e = 0; e < m.encoders.size(); ++e) {
-        auto &enc = m.encoders[e];
         std::string prefix = "encoder" + std::to_string(e) + ".";
-        out.push_back({prefix + "query", FcKind::Query, e, &enc.queryW});
-        out.push_back({prefix + "key", FcKind::Key, e, &enc.keyW});
-        out.push_back({prefix + "value", FcKind::Value, e, &enc.valueW});
-        out.push_back({prefix + "attn_output", FcKind::AttnOutput, e,
-                       &enc.attnOutW});
-        out.push_back({prefix + "intermediate", FcKind::Intermediate, e,
-                       &enc.interW});
-        out.push_back({prefix + "output", FcKind::Output, e, &enc.outW});
+        for (const EncoderFc &f : encoderFcs)
+            out.push_back({prefix + fcKindName(f.kind), f.kind, e,
+                           &(m.encoders[e].*f.weight)});
     }
     out.push_back({"pooler", FcKind::Pooler, m.encoders.size(),
                    &m.poolerW});
+    return out;
+}
+
+template <typename Ref, typename Model>
+std::vector<Ref>
+enumerateParams(Model &m)
+{
+    const ModelConfig &c = m.config();
+    const std::size_t h = c.hidden;
+    std::vector<Ref> out;
+    auto add = [&](std::string name, auto &t, ParamShape s,
+                   bool fc = false) {
+        out.push_back({std::move(name), &t, s, fc});
+    };
+    add("word_embedding", m.wordEmbedding, {c.vocabSize, h});
+    add("position_embedding", m.positionEmbedding, {c.maxPosition, h});
+    add("embedding_ln.gamma", m.embLnGamma, {h});
+    add("embedding_ln.beta", m.embLnBeta, {h});
+    for (std::size_t e = 0; e < m.encoders.size(); ++e) {
+        auto &enc = m.encoders[e];
+        std::string prefix = "encoder" + std::to_string(e) + ".";
+        auto fc = [&](const EncoderFc &f, std::size_t out_f,
+                      std::size_t in_f) {
+            std::string name = prefix + fcKindName(f.kind);
+            add(name, enc.*f.weight, {out_f, in_f}, true);
+            add(name + ".bias", enc.*f.bias, {out_f});
+        };
+        for (std::size_t k = 0; k < 4; ++k)
+            fc(encoderFcs[k], h, h);
+        add(prefix + "attn_ln.gamma", enc.attnLnGamma, {h});
+        add(prefix + "attn_ln.beta", enc.attnLnBeta, {h});
+        fc(encoderFcs[4], c.intermediate, h);
+        fc(encoderFcs[5], h, c.intermediate);
+        add(prefix + "output_ln.gamma", enc.outLnGamma, {h});
+        add(prefix + "output_ln.beta", enc.outLnBeta, {h});
+    }
+    add("pooler", m.poolerW, {h, h}, true);
+    add("pooler.bias", m.poolerB, {h});
+    add("head", m.headW, {m.headW.rows(), h});
+    add("head.bias", m.headB, {m.headW.rows()});
     return out;
 }
 
@@ -83,6 +118,18 @@ BertModel::fcLayers() const
     return enumerateFcLayers<ConstFcLayerRef>(*this);
 }
 
+std::vector<ParamRef>
+BertModel::parameters()
+{
+    return enumerateParams<ParamRef>(*this);
+}
+
+std::vector<ConstParamRef>
+BertModel::parameters() const
+{
+    return enumerateParams<ConstParamRef>(*this);
+}
+
 void
 BertModel::resizeHead(std::size_t outputs)
 {
@@ -94,18 +141,9 @@ BertModel::resizeHead(std::size_t outputs)
 std::size_t
 BertModel::parameterCount() const
 {
-    std::size_t n = wordEmbedding.size() + positionEmbedding.size()
-                    + embLnGamma.size() + embLnBeta.size();
-    for (const auto &enc : encoders) {
-        n += enc.queryW.size() + enc.queryB.size() + enc.keyW.size()
-             + enc.keyB.size() + enc.valueW.size() + enc.valueB.size()
-             + enc.attnOutW.size() + enc.attnOutB.size()
-             + enc.attnLnGamma.size() + enc.attnLnBeta.size()
-             + enc.interW.size() + enc.interB.size() + enc.outW.size()
-             + enc.outB.size() + enc.outLnGamma.size()
-             + enc.outLnBeta.size();
-    }
-    n += poolerW.size() + poolerB.size() + headW.size() + headB.size();
+    std::size_t n = 0;
+    for (const auto &p : parameters())
+        n += p.tensor->size();
     return n;
 }
 

@@ -39,26 +39,69 @@ struct EncoderWeights
     Tensor outLnGamma, outLnBeta; ///< [h], [h]
 };
 
+/** One of an encoder's FC layers: its kind and its weight/bias members. */
+struct EncoderFc
+{
+    FcKind kind;
+    Tensor EncoderWeights::*weight;
+    Tensor EncoderWeights::*bias;
+};
+
+/** FC layer i of a model is encoderFcs[i % 6] of encoder i / 6. */
+inline constexpr EncoderFc encoderFcs[] = {
+    {FcKind::Query, &EncoderWeights::queryW, &EncoderWeights::queryB},
+    {FcKind::Key, &EncoderWeights::keyW, &EncoderWeights::keyB},
+    {FcKind::Value, &EncoderWeights::valueW, &EncoderWeights::valueB},
+    {FcKind::AttnOutput, &EncoderWeights::attnOutW,
+     &EncoderWeights::attnOutB},
+    {FcKind::Intermediate, &EncoderWeights::interW,
+     &EncoderWeights::interB},
+    {FcKind::Output, &EncoderWeights::outW, &EncoderWeights::outB},
+};
+
+/** Dims of a parameter; cols == 0 marks a vector of `rows`. */
+struct ParamShape
+{
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+
+    static ParamShape of(const Tensor &t);
+
+    bool operator==(const ParamShape &) const = default;
+};
+
+/** Fatal shape mismatch naming parameter `name` unless got == want. */
+void checkParamShape(const std::string &name, ParamShape want,
+                     ParamShape got);
+
+/** A parameter tensor and the dims BertModel(cfg) gives it. */
+template <typename T>
+struct BasicParamRef
+{
+    std::string name;  ///< e.g. "encoder3.value.bias".
+    T *tensor;
+    ParamShape shape;  ///< The dims the configuration defines.
+    bool fcWeight;     ///< One of the fcLayers() weight matrices.
+};
+
+using ParamRef = BasicParamRef<Tensor>;
+using ConstParamRef = BasicParamRef<const Tensor>;
+
 /**
  * Reference to one FC weight matrix inside a model, carrying the
  * metadata the quantization policies and the per-layer census need.
  */
-struct FcLayerRef
+template <typename T>
+struct BasicFcLayerRef
 {
     std::string name;       ///< e.g. "encoder3.value".
     FcKind kind;            ///< Component kind.
     std::size_t encoder;    ///< Encoder index; numLayers for the pooler.
-    Tensor *weight;         ///< The [out, in] weight matrix.
+    T *weight;              ///< The [out, in] weight matrix.
 };
 
-/** Const view counterpart of FcLayerRef. */
-struct ConstFcLayerRef
-{
-    std::string name;
-    FcKind kind;
-    std::size_t encoder;
-    const Tensor *weight;
-};
+using FcLayerRef = BasicFcLayerRef<Tensor>;
+using ConstFcLayerRef = BasicFcLayerRef<const Tensor>;
 
 /**
  * A complete model: embeddings, encoder stack, pooler, and a task head.
@@ -70,6 +113,12 @@ class BertModel
   public:
     /** Allocate all tensors (zero-filled) for the given configuration. */
     explicit BertModel(ModelConfig config);
+
+    /**
+     * A model for a loader to fill: every tensor is empty but a zero
+     * `headRows`-output head; parameters() gives the dims each needs.
+     */
+    static BertModel forLoading(ModelConfig config, std::size_t headRows);
 
     const ModelConfig &config() const { return cfg; }
 
@@ -91,6 +140,15 @@ class BertModel
     std::vector<FcLayerRef> fcLayers();
     std::vector<ConstFcLayerRef> fcLayers() const;
 
+    /**
+     * Enumerate every parameter tensor in the GOBM file order:
+     * embeddings, then per encoder each FC weight right before its
+     * bias and the two layer norms after their components, then the
+     * pooler and the head (its rows taken from headW).
+     */
+    std::vector<ParamRef> parameters();
+    std::vector<ConstParamRef> parameters() const;
+
     /** Resize the task head to `outputs` rows. */
     void resizeHead(std::size_t outputs);
 
@@ -98,6 +156,8 @@ class BertModel
     std::size_t parameterCount() const;
 
   private:
+    BertModel(ModelConfig config, std::size_t headRows);
+
     ModelConfig cfg;
 };
 

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/binio.hh"
 #include "util/logging.hh"
 
 namespace gobo {
@@ -13,36 +14,6 @@ namespace {
 
 constexpr std::uint32_t modelMagic = 0x474f424d; // "GOBM"
 constexpr std::uint32_t modelVersion = 1;
-
-void
-writeU64(std::ostream &os, std::uint64_t v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-writeU32(std::ostream &os, std::uint32_t v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-std::uint64_t
-readU64(std::istream &is)
-{
-    std::uint64_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    fatalIf(!is, "model stream truncated reading u64");
-    return v;
-}
-
-std::uint32_t
-readU32(std::istream &is)
-{
-    std::uint32_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    fatalIf(!is, "model stream truncated reading u32");
-    return v;
-}
 
 /**
  * Largest plausible tensor dimension / element count in a model file.
@@ -56,32 +27,10 @@ constexpr std::uint64_t dimCeiling = std::uint64_t{1} << 31;
 std::uint64_t
 readDim(std::istream &is, const char *what)
 {
-    std::uint64_t v = readU64(is);
+    auto v = readPod<std::uint64_t>(is);
     fatalIf(v > dimCeiling, "model stream corrupt: ", what, " ", v,
             " exceeds plausible ceiling ", dimCeiling);
     return v;
-}
-
-template <typename Model, typename Fn>
-void
-forEachTensor(Model &m, Fn fn)
-{
-    fn(m.wordEmbedding);
-    fn(m.positionEmbedding);
-    fn(m.embLnGamma);
-    fn(m.embLnBeta);
-    for (auto &enc : m.encoders) {
-        fn(enc.queryW); fn(enc.queryB);
-        fn(enc.keyW); fn(enc.keyB);
-        fn(enc.valueW); fn(enc.valueB);
-        fn(enc.attnOutW); fn(enc.attnOutB);
-        fn(enc.attnLnGamma); fn(enc.attnLnBeta);
-        fn(enc.interW); fn(enc.interB);
-        fn(enc.outW); fn(enc.outB);
-        fn(enc.outLnGamma); fn(enc.outLnBeta);
-    }
-    fn(m.poolerW); fn(m.poolerB);
-    fn(m.headW); fn(m.headB);
 }
 
 } // namespace
@@ -89,9 +38,9 @@ forEachTensor(Model &m, Fn fn)
 void
 writeTensor(std::ostream &os, const Tensor &t)
 {
-    writeU32(os, static_cast<std::uint32_t>(t.rank()));
+    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(t.rank()));
     for (std::size_t d = 0; d < t.rank(); ++d)
-        writeU64(os, t.dim(d));
+        writePod<std::uint64_t>(os, t.dim(d));
     auto flat = t.flat();
     os.write(reinterpret_cast<const char *>(flat.data()),
              static_cast<std::streamsize>(flat.size() * sizeof(float)));
@@ -100,7 +49,7 @@ writeTensor(std::ostream &os, const Tensor &t)
 Tensor
 readTensor(std::istream &is)
 {
-    std::uint32_t rank = readU32(is);
+    auto rank = readPod<std::uint32_t>(is);
     fatalIf(rank > 2, "tensor rank ", rank, " unsupported");
     Tensor t;
     if (rank == 1) {
@@ -121,23 +70,60 @@ readTensor(std::istream &is)
 }
 
 void
-saveModel(std::ostream &os, const BertModel &model)
+readParam(std::istream &is, const ParamRef &p)
+{
+    Tensor t = readTensor(is);
+    checkParamShape(p.name, p.shape, ParamShape::of(t));
+    *p.tensor = std::move(t);
+}
+
+void
+writeModelHeader(std::ostream &os, std::uint32_t magic,
+                 std::uint32_t version, const BertModel &model)
 {
     const auto &c = model.config();
-    writeU32(os, modelMagic);
-    writeU32(os, modelVersion);
-    writeU32(os, static_cast<std::uint32_t>(c.family));
-    writeU64(os, c.numLayers);
-    writeU64(os, c.hidden);
-    writeU64(os, c.intermediate);
-    writeU64(os, c.numHeads);
-    writeU64(os, c.vocabSize);
-    writeU64(os, c.maxPosition);
-    writeU64(os, c.name.size());
-    os.write(c.name.data(), static_cast<std::streamsize>(c.name.size()));
-    writeU64(os, model.headW.rows());
+    writePod(os, magic);
+    writePod(os, version);
+    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(c.family));
+    for (std::size_t dim : {c.numLayers, c.hidden, c.intermediate,
+                            c.numHeads, c.vocabSize, c.maxPosition})
+        writePod<std::uint64_t>(os, dim);
+    writeString(os, c.name);
+    writePod<std::uint64_t>(os, model.headW.rows());
+}
 
-    forEachTensor(model, [&](const Tensor &t) { writeTensor(os, t); });
+BertModel
+readModelHeader(std::istream &is, std::uint32_t magic,
+                std::uint32_t version)
+{
+    std::string format{static_cast<char>(magic >> 24),
+                       static_cast<char>(magic >> 16),
+                       static_cast<char>(magic >> 8),
+                       static_cast<char>(magic)};
+    fatalIf(readPod<std::uint32_t>(is) != magic, "bad magic: not a ",
+            format, " file");
+    auto got = readPod<std::uint32_t>(is);
+    fatalIf(got != version, "unsupported ", format, " version ", got);
+
+    // The config dims size the tensors the loader reads, so they go
+    // through the same ceiling as raw tensor headers.
+    ModelConfig c;
+    c.family = static_cast<ModelFamily>(readPod<std::uint32_t>(is));
+    for (std::size_t *dim : {&c.numLayers, &c.hidden, &c.intermediate,
+                             &c.numHeads, &c.vocabSize, &c.maxPosition})
+        *dim = static_cast<std::size_t>(readDim(is, "config dim"));
+    c.name = readString(is);
+    auto head_outputs =
+        static_cast<std::size_t>(readDim(is, "head outputs"));
+    return BertModel::forLoading(std::move(c), head_outputs);
+}
+
+void
+saveModel(std::ostream &os, const BertModel &model)
+{
+    writeModelHeader(os, modelMagic, modelVersion, model);
+    for (const auto &p : model.parameters())
+        writeTensor(os, *p.tensor);
 }
 
 void
@@ -152,38 +138,9 @@ saveModel(const std::string &path, const BertModel &model)
 BertModel
 loadModel(std::istream &is)
 {
-    fatalIf(readU32(is) != modelMagic, "bad model magic");
-    std::uint32_t version = readU32(is);
-    fatalIf(version != modelVersion, "unsupported model version ",
-            version);
-
-    // The config dims size every tensor BertModel(c) allocates below,
-    // so they go through the same ceiling as raw tensor headers.
-    ModelConfig c;
-    c.family = static_cast<ModelFamily>(readU32(is));
-    c.numLayers = static_cast<std::size_t>(readDim(is, "numLayers"));
-    c.hidden = static_cast<std::size_t>(readDim(is, "hidden"));
-    c.intermediate = static_cast<std::size_t>(readDim(is, "intermediate"));
-    c.numHeads = static_cast<std::size_t>(readDim(is, "numHeads"));
-    c.vocabSize = static_cast<std::size_t>(readDim(is, "vocabSize"));
-    c.maxPosition = static_cast<std::size_t>(readDim(is, "maxPosition"));
-    std::size_t name_len = static_cast<std::size_t>(readU64(is));
-    fatalIf(name_len > 4096, "model name length ", name_len,
-            " implausible");
-    c.name.resize(name_len);
-    is.read(c.name.data(), static_cast<std::streamsize>(name_len));
-    fatalIf(!is, "model stream truncated reading name");
-    std::size_t head_outputs
-        = static_cast<std::size_t>(readDim(is, "head outputs"));
-
-    BertModel m(c);
-    m.resizeHead(head_outputs);
-    forEachTensor(m, [&](Tensor &t) {
-        Tensor loaded = readTensor(is);
-        fatalIf(loaded.rank() != t.rank() || loaded.size() != t.size(),
-                "tensor shape mismatch while loading model");
-        t = std::move(loaded);
-    });
+    BertModel m = readModelHeader(is, modelMagic, modelVersion);
+    for (const auto &p : m.parameters())
+        readParam(is, p);
     return m;
 }
 

@@ -12,6 +12,7 @@
 #ifndef GOBO_MODEL_SERIALIZE_HH
 #define GOBO_MODEL_SERIALIZE_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -25,6 +26,27 @@ void writeTensor(std::ostream &os, const Tensor &t);
 
 /** Read one tensor written by writeTensor. Fatal on malformed input. */
 Tensor readTensor(std::istream &is);
+
+/**
+ * Read one tensor into `p`'s slot. Fatal on malformed input or unless
+ * it has the dims `p` expects.
+ */
+void readParam(std::istream &is, const ParamRef &p);
+
+/**
+ * Write the header GOBM and GOBC files share: magic, version, the
+ * model's config and its head outputs.
+ */
+void writeModelHeader(std::ostream &os, std::uint32_t magic,
+                      std::uint32_t version, const BertModel &model);
+
+/**
+ * Read a header writeModelHeader wrote, fatal unless magic and version
+ * match or any dim is implausible. Returns BertModel::forLoading for
+ * the stored config and head size, for the caller to fill.
+ */
+BertModel readModelHeader(std::istream &is, std::uint32_t magic,
+                          std::uint32_t version);
 
 /** Serialize a whole model to a stream. */
 void saveModel(std::ostream &os, const BertModel &model);

@@ -1,6 +1,7 @@
 #include "nn/encoder.hh"
 
 #include <cmath>
+#include <iterator>
 
 #include "kernels/kernels.hh"
 #include "obs/observer.hh"
@@ -92,20 +93,27 @@ multiHeadAttention(const Tensor &q, const Tensor &k, const Tensor &v,
     return multiHeadAttention(ExecContext::serial(), q, k, v, num_heads);
 }
 
+namespace {
+
+/** One encoder layer whose FC layers are `fc`'s first .. first + 5. */
 Tensor
-encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
-               const Tensor &hidden, std::size_t num_heads)
+encoderLayer(const ExecContext &ectx, const EncoderWeights &enc,
+             const Tensor &hidden, std::size_t num_heads, const FcStep &fc,
+             std::size_t first)
 {
+    auto step = [&](std::size_t k, const Tensor &x) {
+        return fc(ectx, first + k, x);
+    };
     // Spans bracket whole components; they never reorder or touch the
     // arithmetic, so traced and untraced runs are bit-identical.
     Tensor x;
     {
         ScopedSpan span(ectx.obs, "attention");
-        Tensor q = linear(ectx, hidden, enc.queryW, enc.queryB);
-        Tensor k = linear(ectx, hidden, enc.keyW, enc.keyB);
-        Tensor v = linear(ectx, hidden, enc.valueW, enc.valueB);
+        Tensor q = step(0, hidden);
+        Tensor k = step(1, hidden);
+        Tensor v = step(2, hidden);
         Tensor ctx = multiHeadAttention(ectx, q, k, v, num_heads);
-        Tensor attn_out = linear(ectx, ctx, enc.attnOutW, enc.attnOutB);
+        Tensor attn_out = step(3, ctx);
         x = add(hidden, attn_out);
     }
     {
@@ -118,10 +126,10 @@ encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
     {
         ScopedSpan span(ectx.obs, "ffn");
         // Intermediate component.
-        Tensor inter = linear(ectx, x, enc.interW, enc.interB);
+        Tensor inter = step(4, x);
         geluInplace(ectx, inter);
         // Output component.
-        Tensor out = linear(ectx, inter, enc.outW, enc.outB);
+        Tensor out = step(5, inter);
         y = add(x, out);
     }
     {
@@ -130,6 +138,49 @@ encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
                          enc.outLnBeta.flat());
     }
     return y;
+}
+
+/** The pooler: the first token through FC layer `layer` + tanh. */
+Tensor
+poolFirst(const ExecContext &ctx, const Tensor &hidden, const FcStep &fc,
+          std::size_t layer)
+{
+    fatalIf(hidden.rows() == 0, "pool on empty hidden state");
+    Tensor first(1, hidden.cols());
+    auto src = hidden.row(0);
+    auto dst = first.row(0);
+    std::copy(src.begin(), src.end(), dst.begin());
+    Tensor pooled = fc(ctx, layer, first);
+    tanhInplace(ctx, pooled);
+    return pooled;
+}
+
+} // namespace
+
+FcStep
+denseFc(const BertModel &model)
+{
+    return [&model](const ExecContext &ctx, std::size_t layer,
+                    const Tensor &x) {
+        std::size_t e = layer / std::size(encoderFcs);
+        if (e == model.encoders.size())
+            return linear(ctx, x, model.poolerW, model.poolerB);
+        const EncoderFc &f = encoderFcs[layer % std::size(encoderFcs)];
+        return linear(ctx, x, model.encoders[e].*f.weight,
+                      model.encoders[e].*f.bias);
+    };
+}
+
+Tensor
+encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
+               const Tensor &hidden, std::size_t num_heads)
+{
+    FcStep own = [&enc](const ExecContext &ctx, std::size_t k,
+                        const Tensor &x) {
+        return linear(ctx, x, enc.*encoderFcs[k].weight,
+                      enc.*encoderFcs[k].bias);
+    };
+    return encoderLayer(ectx, enc, hidden, num_heads, own, 0);
 }
 
 Tensor
@@ -141,7 +192,7 @@ encoderForward(const EncoderWeights &enc, const Tensor &hidden,
 
 Tensor
 encodeSequence(const ExecContext &ctx, const BertModel &model,
-               std::span<const std::int32_t> token_ids)
+               std::span<const std::int32_t> token_ids, const FcStep &fc)
 {
     Tensor x;
     {
@@ -152,14 +203,22 @@ encodeSequence(const ExecContext &ctx, const BertModel &model,
     for (std::size_t e = 0; e < model.encoders.size(); ++e) {
         {
             ScopedSpan span(ctx.obs, "layer", e);
-            x = encoderForward(ctx, model.encoders[e], x,
-                               model.config().numHeads);
+            x = encoderLayer(ctx, model.encoders[e], x,
+                             model.config().numHeads, fc,
+                             e * std::size(encoderFcs));
         }
         if (probeAttached(ctx.obs))
             probeActivation(ctx.obs,
                             "layer[" + std::to_string(e) + "]", x);
     }
     return x;
+}
+
+Tensor
+encodeSequence(const ExecContext &ctx, const BertModel &model,
+               std::span<const std::int32_t> token_ids)
+{
+    return encodeSequence(ctx, model, token_ids, denseFc(model));
 }
 
 Tensor
@@ -172,14 +231,8 @@ encodeSequence(const BertModel &model,
 Tensor
 pool(const ExecContext &ctx, const BertModel &model, const Tensor &hidden)
 {
-    fatalIf(hidden.rows() == 0, "pool on empty hidden state");
-    Tensor first(1, hidden.cols());
-    auto src = hidden.row(0);
-    auto dst = first.row(0);
-    std::copy(src.begin(), src.end(), dst.begin());
-    Tensor pooled = linear(ctx, first, model.poolerW, model.poolerB);
-    tanhInplace(ctx, pooled);
-    return pooled;
+    return poolFirst(ctx, hidden, denseFc(model),
+                     model.config().numFcLayers() - 1);
 }
 
 Tensor
@@ -203,6 +256,16 @@ Tensor
 headLogits(const BertModel &model, const Tensor &pooled)
 {
     return headLogits(ExecContext::serial(), model, pooled);
+}
+
+Tensor
+classify(const ExecContext &ctx, const BertModel &model,
+         std::span<const std::int32_t> token_ids, const FcStep &fc)
+{
+    Tensor hidden = encodeSequence(ctx, model, token_ids, fc);
+    Tensor pooled =
+        poolFirst(ctx, hidden, fc, model.config().numFcLayers() - 1);
+    return headLogits(ctx, model, pooled);
 }
 
 Tensor

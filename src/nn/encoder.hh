@@ -10,6 +10,12 @@
  * the Pooler after the last encoder. Everything consumes plain FP32
  * tensors, which is what makes decoded GOBO models plug-in compatible.
  *
+ * The forward takes its FC step as a plain callable (FcStep): that one
+ * step is all that differs between the FP32 engine (linear() over the
+ * model's own weights, denseFc) and the packed engine
+ * (QuantizedLinear::forward, core/qexec.hh). Embedding, attention,
+ * layer norms, GELU, residuals, pooler tanh and head are shared.
+ *
  * Each stage takes an ExecContext: projections and norms dispatch
  * row-blocked across the context's threads, and multi-head attention
  * parallelizes over heads (each head owns a disjoint column slice of
@@ -22,6 +28,7 @@
 #define GOBO_NN_ENCODER_HH
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "exec/context.hh"
@@ -29,6 +36,18 @@
 #include "tensor/tensor.hh"
 
 namespace gobo {
+
+/**
+ * One FC output, y = x W^T + b ([seq, out] from x [seq, in]), for FC
+ * layer `layer` numbered in BertModel::fcLayers() order: encoder e's
+ * layers are 6e .. 6e + 5 (encoderFcs order), the pooler is
+ * 6 * numLayers.
+ */
+using FcStep = std::function<Tensor(const ExecContext &ctx,
+                                    std::size_t layer, const Tensor &x)>;
+
+/** The FP32 engine's step: linear() over `model`'s FC weights. */
+FcStep denseFc(const BertModel &model);
 
 /**
  * Embedding front end: word embedding + position embedding, then the
@@ -55,14 +74,21 @@ Tensor multiHeadAttention(const Tensor &q, const Tensor &k,
 
 /**
  * One encoder layer: multi-head self-attention and FFN with residuals
- * and layer norms, as in Fig. 1a.
+ * and layer norms, as in Fig. 1a, on `enc`'s own FC weights.
  */
 Tensor encoderForward(const ExecContext &ctx, const EncoderWeights &enc,
                       const Tensor &hidden, std::size_t num_heads);
 Tensor encoderForward(const EncoderWeights &enc, const Tensor &hidden,
                       std::size_t num_heads);
 
-/** Run the embedding front end and the whole encoder stack. */
+/**
+ * Run the embedding front end and the whole encoder stack. `model`
+ * supplies every FP32 parameter but the FC weights, which only `fc`
+ * reads; the overload without it runs denseFc(model).
+ */
+Tensor encodeSequence(const ExecContext &ctx, const BertModel &model,
+                      std::span<const std::int32_t> token_ids,
+                      const FcStep &fc);
 Tensor encodeSequence(const ExecContext &ctx, const BertModel &model,
                       std::span<const std::int32_t> token_ids);
 Tensor encodeSequence(const BertModel &model,
@@ -77,6 +103,13 @@ Tensor pool(const BertModel &model, const Tensor &hidden);
 Tensor headLogits(const ExecContext &ctx, const BertModel &model,
                   const Tensor &pooled);
 Tensor headLogits(const BertModel &model, const Tensor &pooled);
+
+/**
+ * The whole classification forward — embed, encoder stack, pooler,
+ * head — with every FC output computed by `fc`. Returns [outputs].
+ */
+Tensor classify(const ExecContext &ctx, const BertModel &model,
+                std::span<const std::int32_t> token_ids, const FcStep &fc);
 
 /**
  * Span-extraction logits (SQuAD-like head): per-token start and end

@@ -156,28 +156,9 @@ class Observer
         return it->second;
     }
 
-    /**
-     * Intern (or look up) the counter id for one kernel tier
-     * ("exec.kernel.generic", "exec.kernel.avx2"). Sessions bump it at
-     * each forward entry point, so metric dumps — and the bench JSON
-     * built from them — record which SIMD tier actually ran.
-     */
-    CounterId
-    kernelTierId(const std::string &tier)
-    {
-        std::lock_guard lock(layerIdsMutex);
-        auto it = kernelTierIds.find(tier);
-        if (it == kernelTierIds.end())
-            it = kernelTierIds
-                     .emplace(tier, metrics.counter("exec.kernel." + tier))
-                     .first;
-        return it->second;
-    }
-
   private:
     std::mutex layerIdsMutex;
     std::map<std::string, Observer::QexecLayerIds> layerIdsByLabel;
-    std::map<std::string, CounterId> kernelTierIds;
 };
 
 /**

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
 #include "core/container.hh"
+#include "exec/session.hh"
 #include "model/generate.hh"
 #include "model/serialize.hh"
 #include "nn/encoder.hh"
@@ -163,10 +165,112 @@ TEST(Container, RejectsCorruptInput)
     EXPECT_THROW(loadCompressedModel(trunc), FatalError);
 }
 
+/**
+ * Logits of a model loaded packed from the container must equal those
+ * of the in-process QuantizedBertModel bit for bit, at 1 and 4
+ * threads: the file holds the exact records quantizing produces.
+ */
+void
+expectPackedLoadMatchesInProcess(const ModelQuantOptions &opt)
+{
+    auto cfg = miniConfig(ModelFamily::BertBase);
+    BertModel m = generateModel(cfg, 42);
+    QuantizedBertModel in_process(m, opt);
+    std::stringstream ss;
+    saveCompressedModel(ss, m, opt);
+    QuantizedBertModel loaded = loadPackedModel(ss);
+    EXPECT_EQ(loaded.residentWeightBytes(),
+              in_process.residentWeightBytes());
+
+    TokenBatch batch{{1, 2, 3}, {7}, {9, 4, 4, 8, 15, 16, 23, 42, 11},
+                     std::vector<std::int32_t>(cfg.maxPosition, 5)};
+    for (std::size_t threads : {1, 4}) {
+        const ExecContext ctx = ExecContext::parallel(threads);
+        auto want = InferenceSession(in_process, ctx).headLogitsBatch(batch);
+        auto got = InferenceSession(loaded, ctx).headLogitsBatch(batch);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].size(), want[i].size());
+            EXPECT_EQ(std::memcmp(got[i].data().data(),
+                                  want[i].data().data(),
+                                  want[i].size() * sizeof(float)),
+                      0)
+                << "seq " << i << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST(Container, PackedLoadMatchesInProcessGobo3b4bEmbedding)
+{
+    expectPackedLoadMatchesInProcess(gobo3b4bEmbedding());
+}
+
+TEST(Container, PackedLoadMatchesInProcessKMeans2b)
+{
+    ModelQuantOptions opt;
+    opt.base.bits = 2;
+    opt.base.method = CentroidMethod::KMeans;
+    expectPackedLoadMatchesInProcess(opt);
+}
+
+/**
+ * `bytes` with the stored dims of `m`'s position embedding rewritten
+ * to [rows, cols]; the byte count must stay the same.
+ */
+std::string
+reshapePositionEmbedding(std::string bytes, const BertModel &m,
+                         std::uint64_t rows, std::uint64_t cols)
+{
+    const auto &pe = m.positionEmbedding.data();
+    std::string payload(reinterpret_cast<const char *>(pe.data()),
+                        pe.size() * sizeof(float));
+    std::size_t at = bytes.find(payload);
+    EXPECT_NE(at, std::string::npos);
+    // The tensor header (u32 rank, u64 rows, u64 cols) ends right
+    // before the payload.
+    std::memcpy(bytes.data() + at - 16, &rows, sizeof(rows));
+    std::memcpy(bytes.data() + at - 8, &cols, sizeof(cols));
+    return bytes;
+}
+
+TEST(Loaders, ReshapedGobcTensorRejected)
+{
+    // [64, 64] stored as [256, 16]: same byte count, wrong rows, so the
+    // embedding would read past each position row.
+    auto cfg = miniConfig(ModelFamily::BertBase);
+    BertModel m = generateModel(cfg, 42);
+    ModelQuantOptions opt;
+    opt.embeddingBits = 0;
+    std::stringstream ss;
+    saveCompressedModel(ss, m, opt);
+    std::string bad = reshapePositionEmbedding(
+        ss.str(), m, cfg.maxPosition * 4, cfg.hidden / 4);
+
+    std::stringstream a(bad), b(bad), good(ss.str());
+    EXPECT_THROW(loadCompressedModel(a), FatalError);
+    EXPECT_THROW(loadPackedModel(b), FatalError);
+    EXPECT_NO_THROW(loadCompressedModel(good));
+}
+
+TEST(Loaders, ReshapedGobmTensorRejected)
+{
+    auto cfg = miniConfig(ModelFamily::BertBase);
+    BertModel m = generateModel(cfg, 42);
+    std::stringstream ss;
+    saveModel(ss, m);
+    std::string bad = reshapePositionEmbedding(
+        ss.str(), m, cfg.maxPosition * 4, cfg.hidden / 4);
+
+    std::stringstream in(bad), good(ss.str());
+    EXPECT_THROW(loadModel(in), FatalError);
+    EXPECT_NO_THROW(loadModel(good));
+}
+
 TEST(Container, MissingFileIsFatal)
 {
     EXPECT_THROW(loadCompressedModel("/nonexistent/gobo.gobc"),
                  FatalError);
+    EXPECT_THROW(loadPackedModel("/nonexistent/gobo.gobc"), FatalError);
 }
 
 } // namespace

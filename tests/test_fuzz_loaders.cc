@@ -83,6 +83,20 @@ TEST(FuzzLoaders, ContainerSurvivesByteFlips)
                 150, 711);
 }
 
+TEST(FuzzLoaders, PackedContainerSurvivesByteFlips)
+{
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    BertModel m = generateModel(cfg, 719);
+    ModelQuantOptions opt;
+    opt.base.bits = 3;
+    opt.embeddingBits = 4;
+    std::stringstream ss;
+    saveCompressedModel(ss, m, opt);
+    fuzzOneByte(ss.str(),
+                [](std::istream &is) { (void)loadPackedModel(is); }, 150,
+                721);
+}
+
 TEST(FuzzLoaders, WideIndexIntoDedupedCentroidTableRejected)
 {
     // A degenerate layer (fewer distinct weights than 2^B) dedupes its

@@ -166,6 +166,26 @@ TEST(BertModelTest, ResizeHead)
     EXPECT_THROW(m.resizeHead(0), FatalError);
 }
 
+TEST(BertModelTest, ParametersListEveryTensorWithItsShape)
+{
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    BertModel m(cfg);
+    m.resizeHead(3);
+    auto params = m.parameters();
+    ASSERT_EQ(params.size(), 4 + 16 * cfg.numLayers + 4);
+    std::size_t fc = 0;
+    for (const auto &p : params) {
+        EXPECT_EQ(ParamShape::of(*p.tensor), p.shape) << p.name;
+        fc += p.fcWeight;
+    }
+    EXPECT_EQ(fc, cfg.numFcLayers());
+    EXPECT_EQ(params[0].name, "word_embedding");
+    EXPECT_EQ(params[4].name, "encoder0.query");
+    EXPECT_EQ(params[5].name, "encoder0.query.bias");
+    EXPECT_EQ(params.back().shape, (ParamShape{3, 0}));
+    EXPECT_THROW(checkParamShape("x", {4, 2}, {2, 4}), FatalError);
+}
+
 TEST(BertModelTest, ParameterCountConsistent)
 {
     auto cfg = miniConfig(ModelFamily::DistilBert);

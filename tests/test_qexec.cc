@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "core/qexec.hh"
 #include "model/generate.hh"
@@ -245,6 +247,91 @@ TEST(QuantizedBertModelTest, MixedPrecisionBitsRespected)
     Tensor h = qmodel.encode(ids);
     for (float v : h.flat())
         EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(QuantizedBertModelTest, HoldsOnlyFp32ResidentParameters)
+{
+    // FC weights live only in the packed layers; every other parameter
+    // is the source's, and a quantized embedding is its decode.
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    BertModel model = generateModel(cfg, 433);
+    model.resizeHead(2);
+    model.headW(1, 3) = 0.375f;
+    for (unsigned emb_bits : {0u, 4u}) {
+        ModelQuantOptions options;
+        options.base.bits = 3;
+        options.embeddingBits = emb_bits;
+        QuantizedBertModel qmodel(model, options);
+        const BertModel &held = qmodel.fp32Parameters();
+        auto src = model.parameters();
+        auto got = held.parameters();
+        ASSERT_EQ(got.size(), src.size());
+        for (std::size_t p = 0; p < src.size(); ++p) {
+            if (src[p].fcWeight) {
+                EXPECT_EQ(got[p].tensor->size(), 0u) << src[p].name;
+            } else if (p > 0 || emb_bits == 0) {
+                EXPECT_EQ(got[p].tensor->data(), src[p].tensor->data())
+                    << src[p].name;
+            }
+        }
+        EXPECT_EQ(held.parameterCount(),
+                  model.parameterCount() - cfg.fcWeightParams());
+        if (emb_bits > 0) {
+            BertModel decoded = model;
+            quantizeModelInPlace(decoded, options);
+            EXPECT_EQ(held.wordEmbedding.data(),
+                      decoded.wordEmbedding.data());
+        }
+    }
+}
+
+TEST(QuantizedBertModelTest, RejectsBadTokenSequences)
+{
+    // The packed engine keeps the FP32 engine's input contract.
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    ModelQuantOptions options;
+    options.base.bits = 3;
+    QuantizedBertModel qmodel(generateModel(cfg, 429), options);
+
+    EXPECT_THROW(qmodel.classify(std::vector<std::int32_t>{}), FatalError);
+    std::vector<std::int32_t> too_long(cfg.maxPosition + 1, 1);
+    EXPECT_THROW(qmodel.classify(too_long), FatalError);
+    EXPECT_THROW(qmodel.classify(std::vector<std::int32_t>{1, -1}),
+                 FatalError);
+    auto vocab = static_cast<std::int32_t>(cfg.vocabSize);
+    EXPECT_THROW(qmodel.classify(std::vector<std::int32_t>{vocab}),
+                 FatalError);
+    std::vector<std::int32_t> longest(cfg.maxPosition, 1);
+    EXPECT_NO_THROW(qmodel.classify(longest));
+}
+
+TEST(QuantizedBertModelTest, CopyAndMoveOutliveTheSource)
+{
+    // Each forward builds its FC step from the model it runs on, so a
+    // copy or a moved-to model never reads its source's layers.
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    ModelQuantOptions options;
+    options.base.bits = 3;
+    options.embeddingBits = 4;
+    std::optional<QuantizedBertModel> source;
+    source.emplace(generateModel(cfg, 431), options);
+    std::vector<std::int32_t> ids{5, 3, 8, 1, 9, 2, 7};
+    const ExecContext ctx = ExecContext::parallel(4);
+    Tensor want = source->classify(ctx, ids);
+
+    QuantizedBertModel copy = *source;
+    QuantizedBertModel moved = std::move(*source);
+    source.reset();
+
+    auto same_bits = [&](const Tensor &got) {
+        return got.size() == want.size()
+               && std::memcmp(got.data().data(), want.data().data(),
+                              want.size() * sizeof(float))
+                      == 0;
+    };
+    EXPECT_TRUE(same_bits(copy.classify(ctx, ids)));
+    EXPECT_TRUE(same_bits(moved.classify(ctx, ids)));
+    EXPECT_TRUE(same_bits(moved.classify(ids)));
 }
 
 } // namespace

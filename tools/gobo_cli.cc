@@ -246,6 +246,52 @@ parseU64Flag(const Args &args, const std::string &key,
     return *v;
 }
 
+/**
+ * True for a GOBC container, false for a GOBM FP32 model; fatal for
+ * anything else. Magic words are written as little-endian u32, so the
+ * bytes on disk read "CBOG" or "MBOG".
+ */
+bool
+isContainer(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    fatalIf(!is, "cannot open ", path);
+    char magic[4] = {};
+    is.read(magic, 4);
+    fatalIf(!is, "cannot read ", path);
+    bool container = std::memcmp(magic, "CBOG", 4) == 0;
+    fatalIf(!container && std::memcmp(magic, "MBOG", 4) != 0, path,
+            " is neither a GOBM model nor a GOBC container");
+    return container;
+}
+
+/** An FP32 model from either file kind (a container decoded). */
+BertModel
+loadFp32Model(const std::string &path)
+{
+    return isContainer(path) ? loadCompressedModel(path) : loadModel(path);
+}
+
+/**
+ * The session `--engine` names. fp32 runs the file's model in FP32.
+ * qexec serves a container's own packed layers as stored, and
+ * quantizes a GOBM model with the default options on ctx's threads.
+ */
+InferenceSession
+openSession(const std::string &path, const std::string &engine,
+            const ExecContext &ctx)
+{
+    if (engine == "fp32")
+        return InferenceSession(loadFp32Model(path), ctx);
+    if (engine != "qexec")
+        usage(("unknown engine: " + engine).c_str());
+    if (isContainer(path))
+        return InferenceSession(loadPackedModel(path), ctx);
+    ModelQuantOptions qopt;
+    qopt.threads = ctx.threads;
+    return InferenceSession(QuantizedBertModel(loadModel(path), qopt), ctx);
+}
+
 int
 cmdGenerate(const Args &args)
 {
@@ -342,20 +388,7 @@ cmdInspect(const Args &args)
     if (args.positional.empty())
         usage("inspect needs a file");
     std::string path = args.positional[0];
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-
-    // Magic words are written as little-endian u32, so the bytes on
-    // disk read "MBOG" (FP32 model) or "CBOG" (compressed container).
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    bool is_model = std::memcmp(magic, "MBOG", 4) == 0;
-    fatalIf(!is_container && !is_model, path,
-            " is neither a GOBM model nor a GOBC container");
-
+    bool is_container = isContainer(path);
     BertModel model = is_container ? loadCompressedModel(path)
                                    : loadModel(path);
     const auto &cfg = model.config();
@@ -434,47 +467,28 @@ cmdInfer(const Args &args)
             pmu->attachWorkers(ThreadPool::shared().workerThreadIds());
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
-    fatalIf(seq_len > model.config().maxPosition, "seq-len ", seq_len,
-            " exceeds maxPosition ", model.config().maxPosition);
+    InferenceSession session = openSession(path, engine, ctx);
+    const ModelConfig &cfg = session.config();
+    fatalIf(seq_len > cfg.maxPosition, "seq-len ", seq_len,
+            " exceeds maxPosition ", cfg.maxPosition);
 
     Rng rng(seed * 31 + 5);
     TokenBatch batch;
     for (std::size_t s = 0; s < batch_size; ++s) {
         std::vector<std::int32_t> seq;
         for (std::size_t t = 0; t < seq_len; ++t)
-            seq.push_back(static_cast<std::int32_t>(rng.integer(
-                0,
-                static_cast<int>(model.config().vocabSize) - 1)));
+            seq.push_back(static_cast<std::int32_t>(
+                rng.integer(0, static_cast<int>(cfg.vocabSize) - 1)));
         batch.push_back(std::move(seq));
-    }
-
-    std::optional<InferenceSession> session;
-    if (engine == "qexec") {
-        ModelQuantOptions qopt;
-        qopt.threads = ctx.threads;
-        session.emplace(QuantizedBertModel(model, qopt), ctx);
-    } else if (engine == "fp32") {
-        session.emplace(std::move(model), ctx);
-    } else {
-        usage(("unknown engine: " + engine).c_str());
     }
 
     std::printf("%s engine (%s weights, %.1f KiB resident), %zu threads,"
                 " %s kernels, batch %zu x %zu tokens\n",
                 engine.c_str(), engine == "qexec" ? "packed" : "fp32",
-                toKiB(session->residentWeightBytes()), ctx.threads,
+                toKiB(session.residentWeightBytes()), ctx.threads,
                 kernels.name, batch_size, seq_len);
     WallTimer timer;
-    auto logits = session->headLogitsBatch(batch);
+    auto logits = session.headLogitsBatch(batch);
     double secs = timer.seconds();
 
     for (std::size_t i = 0; i < logits.size(); ++i) {
@@ -574,17 +588,9 @@ cmdAudit(const Args &args)
         opt.pmu = &*pmu;
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
     // A container decodes to FP32 first; the audit then measures its
     // re-quantization under the requested settings.
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
+    BertModel model = loadFp32Model(path);
 
     WallTimer timer;
     AuditReport report = auditModel(model, opt);
@@ -659,32 +665,13 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
         sopt.obs = obs;
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
-    fatalIf(spec->maxLen > model.config().maxPosition,
-            "trace len max ", spec->maxLen, " exceeds maxPosition ",
-            model.config().maxPosition);
-
-    auto trace = generateTrace(*spec, model.config().vocabSize);
-
     std::string engine = args.get("engine", "qexec");
-    std::optional<InferenceSession> session;
-    if (engine == "qexec") {
-        ModelQuantOptions qopt;
-        qopt.threads = ctx.threads;
-        session.emplace(QuantizedBertModel(model, qopt), ctx);
-    } else if (engine == "fp32") {
-        session.emplace(std::move(model), ctx);
-    } else {
-        usage(("unknown engine: " + engine).c_str());
-    }
+    InferenceSession session = openSession(path, engine, ctx);
+    const ModelConfig &cfg = session.config();
+    fatalIf(spec->maxLen > cfg.maxPosition, "trace len max ",
+            spec->maxLen, " exceeds maxPosition ", cfg.maxPosition);
+
+    auto trace = generateTrace(*spec, cfg.vocabSize);
 
     meta.trace = traceSpecString(*spec);
     meta.kernelTier = kernels.name;
@@ -696,7 +683,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
                 engine.c_str(), engine == "qexec" ? "packed" : "fp32",
                 ctx.threads, kernels.name);
 
-    ServeServer server(*session, sopt);
+    ServeServer server(session, sopt);
     // Hand the caller the options the server resolved (tileLanes
     // defaults to the kernel tier's seqTile) so the JSON stamp
     // records the real geometry.
