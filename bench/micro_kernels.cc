@@ -3,16 +3,18 @@
  * Per-kernel throughput: the SIMD layer measured in isolation.
  *
  * Times the hot kernels — fold-left dot, axpy, the centroid-lookup
- * dot product lutDot (the compressed-domain FC), and the packed-row
- * decode that feeds it — on every tier the host can run (generic,
- * avx2, avx512), and reports GB/s of streamed operands and GFLOP/s of
- * useful arithmetic. lutDot and decode are swept across B in
- * {2, 3, 4}; lutDot runs eight index rows (the engine's row chunk)
- * against seq in {1, 4, 8, 16} tokens at in in {768, 3072} (BERT-base's
- * hidden and FFN widths). Activation rows sit `in` floats apart as in
- * the engine, so at in = 3072 every token row starts on the same 4 KiB
- * page offset — the layout that exposes how a tier's register tile
- * uses L1.
+ * dot product lutDot (the compressed-domain FC, reading the packed
+ * index stream), and the packed-row decoder — on every tier the host
+ * can run (generic, avx2, avx512), and reports GB/s of streamed
+ * operands and GFLOP/s of useful arithmetic. lutDot reads eight rows
+ * of the packed index stream (the engine's row chunk) at B in
+ * {2, 3, 4, 5} against seq in {1, 4, 8, 16} tokens at in in
+ * {767, 768, 3072} (BERT-base's hidden and FFN widths, plus an odd
+ * width whose rows start mid-byte); decode is swept across B in
+ * {2, 3, 4}. Activation rows sit `in` floats apart as in the engine,
+ * so at in = 3072 every token row starts on the same 4 KiB page
+ * offset — the layout that exposes how a tier's register tile uses
+ * L1.
  * Tier-to-tier speedup here is the microscopic view of the end-to-end
  * numbers perfbench/ measures.
  *
@@ -38,6 +40,7 @@
 
 #include "kernels/kernels.hh"
 #include "obs/pmu.hh"
+#include "util/bitstream.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -106,19 +109,21 @@ timeAxpy(const KernelSet &kn, const std::vector<float> &x,
 }
 
 double
-timeLutDot(const KernelSet &kn, const std::vector<std::uint8_t> &idx,
-           std::size_t rows, const std::vector<float> &table,
-           const std::vector<float> &x, std::size_t seq, std::size_t reps,
-           std::vector<float> &sums)
+timeLutDot(const KernelSet &kn, const std::vector<std::uint8_t> &packed,
+           unsigned bits, std::size_t rows, std::size_t in,
+           const std::vector<float> &table, const std::vector<float> &x,
+           std::size_t seq, std::size_t reps, std::vector<float> &sums)
 {
-    std::size_t in = idx.size() / rows;
     sums.assign(rows * seq, 0.0f);
-    kn.lutDot(idx.data(), rows, in, table.data(), table.size(),
-              x.data(), in, seq, sums.data()); // warm-up
+    auto call = [&] {
+        kn.lutDot(packed.data(), packed.size(), 0, bits, rows, in,
+                  table.data(), table.size(), x.data(), in, seq,
+                  sums.data());
+    };
+    call(); // warm-up
     WallTimer timer;
     for (std::size_t r = 0; r < reps; ++r) {
-        kn.lutDot(idx.data(), rows, in, table.data(), table.size(),
-                  x.data(), in, seq, sums.data());
+        call();
         sink(sums[0]);
     }
     return timer.seconds();
@@ -174,7 +179,10 @@ main(int argc, char **argv)
     constexpr std::size_t kIn = 3072;
     constexpr std::size_t kLutRows = 8;
     constexpr std::size_t kLutSeqs[] = {1, 4, 8, 16};
-    constexpr std::size_t kLutWidths[] = {768, kIn};
+    // 767 starts every other row mid-byte, so B = 4 takes the shared
+    // fallback expander on the avx512 tier, as B = 5 always does.
+    constexpr std::size_t kLutWidths[] = {767, 768, kIn};
+    constexpr unsigned kLutBits[] = {2, 3, 4, 5};
 
     Rng rng(seed);
     std::vector<float> a(kDenseN), b(kDenseN), y(kDenseN);
@@ -245,14 +253,19 @@ main(int argc, char **argv)
                                bytes / secs / 1e9, flops / secs / 1e9});
             addRoofline(results.back(), delta, secs, flops);
         }
-        for (unsigned bits : {2u, 3u, 4u})
+        for (unsigned bits : kLutBits)
             for (std::size_t in : kLutWidths) {
                 std::size_t k = std::size_t{1} << bits;
-                std::vector<std::uint8_t> idx(kLutRows * in);
+                // One row more than a call reads, as for a chunk inside
+                // a layer: the stream's last groups, whose wide loads
+                // would pass its end, take the scalar tail instead.
+                std::vector<std::uint32_t> idx((kLutRows + 1) * in);
                 Rng irng(seed * 97 + bits);
                 for (auto &v : idx)
-                    v = static_cast<std::uint8_t>(
+                    v = static_cast<std::uint32_t>(
                         irng.integer(0, static_cast<int>(k) - 1));
+                const std::vector<std::uint8_t> packed =
+                    packIndexes(idx, bits);
                 std::vector<float> table(k);
                 irng.fillGaussian(table, 0.0, 0.05);
                 for (std::size_t seq : kLutSeqs) {
@@ -262,12 +275,14 @@ main(int argc, char **argv)
                         1, reps / 8 * kIn * 4 / (in * seq));
                     std::vector<float> sums, ref;
                     PmuSample t0 = pmu.threadSample();
-                    double secs = timeLutDot(kn, idx, kLutRows, table,
-                                             xs, seq, n_calls, sums);
+                    double secs =
+                        timeLutDot(kn, packed, bits, kLutRows, in, table,
+                                   xs, seq, n_calls, sums);
                     PmuSample delta = pmu.threadSample().since(t0);
                     // Every tier owes the generic tier's bits.
                     ref.assign(sums.size(), 0.0f);
-                    genericKernels().lutDot(idx.data(), kLutRows, in,
+                    genericKernels().lutDot(packed.data(), packed.size(),
+                                            0, bits, kLutRows, in,
                                             table.data(), k, xs.data(),
                                             in, seq, ref.data());
                     if (std::memcmp(sums.data(), ref.data(),
@@ -280,11 +295,13 @@ main(int argc, char **argv)
                         ++mismatches;
                     }
                     double calls = static_cast<double>(n_calls);
-                    // Streams the index rows once and every token's
-                    // activation row; one mul + one add per (index,
-                    // token).
-                    double bytes = calls * static_cast<double>(in)
-                                   * (kLutRows + seq * sizeof(float));
+                    // Streams the packed index rows once and every
+                    // token's activation row; one mul + one add per
+                    // (index, token).
+                    double bytes =
+                        calls
+                        * (static_cast<double>(packed.size())
+                           + static_cast<double>(in * seq * sizeof(float)));
                     double flops = calls * 2.0 * kLutRows
                                    * static_cast<double>(in * seq);
                     results.push_back({"lut_dot", kn.name, bits, in,
@@ -294,9 +311,10 @@ main(int argc, char **argv)
                 }
             }
         for (unsigned bits : {2u, 3u, 4u}) {
-            // Packed-row decode: the phase-0 step of the compressed-
-            // domain FC. Bytes = packed input read + widened output
-            // written; no arithmetic, so GFLOP/s is 0 by construction.
+            // Packed-row decode into bytes (not on the FC path: lutDot
+            // reads the stream itself). Bytes = packed input read +
+            // widened output written; no arithmetic, so GFLOP/s is 0
+            // by construction.
             std::vector<std::uint8_t> packed((kIn * bits + 7) / 8, 0);
             Rng drng(seed * 131 + bits);
             std::size_t mask = (std::size_t{1} << bits) - 1;

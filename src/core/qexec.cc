@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <utility>
 
-#include "exec/scratch.hh"
 #include "kernels/kernels.hh"
 #include "model/footprint.hh"
 #include "obs/observer.hh"
@@ -70,15 +70,15 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         obs->metrics.add(lids.rowsDecoded, out);
     }
 
-    // Token-blocked execution: each lutDot call runs a chunk of weight
-    // rows against up to seqTile tokens (the executing tier's token
-    // block per call, 8 for generic/avx2 and 16 for avx512), straight
-    // off the untransposed activation rows; the tier register-blocks
-    // the call internally. Every y(s, o) follows the lutDot
-    // contract (kernels/kernels.hh) and then adds the bias and the
-    // row's outlier corrections in double, in row order, so the
-    // result does not depend on the tier, the block a token lands in,
-    // or the thread that computes it.
+    // Token-blocked execution: each lutDot call reads a chunk of
+    // weight rows straight from the packed index stream and runs them
+    // against up to seqTile untransposed activation rows (the
+    // executing tier's token block per call, 8 for generic/avx2 and 16
+    // for avx512); the tier register-blocks the call internally.
+    // Every y(s, o) follows the lutDot contract (kernels/kernels.hh)
+    // and then adds the bias and the row's outlier corrections in
+    // double, in row order, so the result does not depend on the tier,
+    // the block a token lands in, or the thread that computes it.
     const KernelSet &kn = resolveKernels(ctx.kernels);
     const std::size_t tile_w = kn.seqTile;
     fatalIf(tile_w == 0 || tile_w > kMaxSeqTile, "kernel tier '",
@@ -86,18 +86,15 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     std::size_t tile_units = (seq + tile_w - 1) / tile_w;
 
     // 2-D output-row × token-block partitioning. Row blocks split the
-    // output dimension first (each keeps the row-outer decode
-    // amortization); when there are too few rows to feed every thread
+    // output dimension first (each row's indexes are read once per
+    // token block); when there are too few rows to feed every thread
     // — small layers, or a deep sweep at high thread counts — the
     // token-block dimension splits too, so the grid always carries
     // roughly threads*4 stealable tasks. Every y(s, o) belongs to
     // exactly one (row block, token block) cell and is computed
     // independently of the others, so the partition — and the thread
-    // count — cannot change a bit of the output.
-    //
-    // Each task decodes its whole row block once, before its token
-    // loop, into the calling thread's decode buffer (exec/scratch.hh).
-    // Nothing on this path allocates after warm-up.
+    // count — cannot change a bit of the output. Nothing on this path
+    // allocates but the output.
     std::size_t target = ctx.isParallel() ? ctx.threads * 4 : 1;
     std::size_t rblocks = std::min(out, target);
     std::size_t tblocks = 1;
@@ -111,6 +108,9 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     // evenly across the grid.
     std::size_t task_cost = 2 * seq * in * out / n_tasks + 1;
 
+    const std::uint8_t *packed = weights.packedIndexes.data();
+    const std::size_t packed_len = weights.packedIndexes.size();
+    const std::size_t row_bits = in * weights.bits;
     ctx.parallelFor(n_tasks, task_cost, [&](std::size_t task) {
         std::size_t rb = task / tblocks, tb = task % tblocks;
         std::size_t o0 = rb * rblock;
@@ -119,49 +119,37 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         std::size_t s1 = std::min(s0 + tblock * tile_w, seq);
         if (o0 >= o1 || s0 >= s1)
             return;
-        std::uint8_t *rows = decodeScratch(o1 - o0, in);
-        for (std::size_t o = o0; o < o1; ++o)
-            kn.decodePackedRow(weights.packedIndexes.data(),
-                               weights.packedIndexes.size(),
-                               o * in * weights.bits, weights.bits, in,
-                               rows + (o - o0) * in);
         // Token blocks outer, rows inner: one block's activation rows
         // stay cache-resident while the row block streams past them,
         // kRowChunk rows per kernel call.
         constexpr std::size_t kRowChunk = 8;
         float sums[kRowChunk * kMaxSeqTile];
-        float ytile[kMaxSeqTile * kRowChunk] = {};
         for (std::size_t b0 = s0; b0 < s1; b0 += tile_w) {
             std::size_t n = std::min(tile_w, s1 - b0);
             const float *xb = x.row(b0).data();
             for (std::size_t c0 = o0; c0 < o1; c0 += kRowChunk) {
                 std::size_t nr = std::min(kRowChunk, o1 - c0);
-                kn.lutDot(rows + (c0 - o0) * in, nr, in,
-                          weights.centroids.data(), k, xb, in, n, sums);
-                // Each row's n tokens run side by side through bias
-                // and corrections, so their double chains overlap;
-                // each (o, s) still adds its terms in row order. The
-                // chunk's outputs then go out one token row at a time
-                // rather than as n strided column stores.
-                for (std::size_t r = 0; r < nr; ++r) {
-                    std::size_t o = c0 + r;
-                    auto bias_o = static_cast<double>(bias(o));
-                    double a[kMaxSeqTile] = {};
-                    for (std::size_t l = 0; l < n; ++l)
-                        a[l] = bias_o + static_cast<double>(sums[r * n + l]);
-                    for (std::size_t t = outlierRowStart[o];
-                         t < outlierRowStart[o + 1]; ++t) {
-                        auto c = static_cast<double>(outliers[t].correction);
-                        const float *xc = xb + outliers[t].column;
-                        for (std::size_t l = 0; l < n; ++l)
-                            a[l] += c * static_cast<double>(xc[l * in]);
+                kn.lutDot(packed, packed_len, c0 * row_bits, weights.bits,
+                          nr, in, weights.centroids.data(), k, xb, in, n,
+                          sums);
+                // y(s, o) = float(double(bias) + double(sum) + each
+                // correction in row order), written one token row at
+                // a time.
+                for (std::size_t l = 0; l < n; ++l) {
+                    const float *xl = xb + l * in;
+                    float *yl = y.row(b0 + l).data() + c0;
+                    for (std::size_t r = 0; r < nr; ++r) {
+                        std::size_t o = c0 + r;
+                        double a = static_cast<double>(bias(o))
+                                   + static_cast<double>(sums[r * n + l]);
+                        for (std::size_t t = outlierRowStart[o];
+                             t < outlierRowStart[o + 1]; ++t)
+                            a += static_cast<double>(outliers[t].correction)
+                                 * static_cast<double>(
+                                     xl[outliers[t].column]);
+                        yl[r] = static_cast<float>(a);
                     }
-                    for (std::size_t l = 0; l < n; ++l)
-                        ytile[l * kRowChunk + r] = static_cast<float>(a[l]);
                 }
-                for (std::size_t l = 0; l < n; ++l)
-                    std::copy_n(ytile + l * kRowChunk, nr,
-                                y.row(b0 + l).data() + c0);
             }
         }
     });
@@ -265,7 +253,10 @@ QuantizedBertModel::QuantizedBertModel(PackedModel parts)
             continue;
         QuantizedTensor &q = parts.fc[fc.size()];
         checkParamShape(params[p].name, params[p].shape, {q.rows, q.cols});
-        fc.emplace_back(std::move(q), *params[p + 1].tensor,
+        // The layer takes the bias; like the weight, it is then
+        // empty in fp32, which only the FP32 FC step reads.
+        fc.emplace_back(std::move(q),
+                        std::exchange(*params[p + 1].tensor, Tensor()),
                         layerLabel(fc.size(), n_fc));
     }
 }

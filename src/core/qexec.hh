@@ -17,10 +17,11 @@
  * so the multiplier-reduction claim can be measured.
  *
  * A CPU has no per-bucket accumulators, so QuantizedLinear computes
- * the same sum the other way round: it looks each weight's centroid up
- * in registers and multiplies it into fp32 partial sums
- * (KernelSet::lutDot), then adds bias and outlier corrections in
- * double. The two orders agree up to FP reassociation.
+ * the same sum the other way round: KernelSet::lutDot reads the packed
+ * index stream, looks each weight's centroid up in registers and
+ * multiplies it into fp32 partial sums; bias and outlier corrections
+ * are then added in double. The two orders agree up to FP
+ * reassociation.
  */
 
 #ifndef GOBO_CORE_QEXEC_HH
@@ -60,13 +61,10 @@ struct OpCounts
  * y = x * W^T + bias with W held as (indexes, centroid table,
  * outliers) — never decoded to FP32.
  *
- * Only the B-bit index stream stays resident. Output rows are decoded
- * through the executing tier's KernelSet::decodePackedRow — the
- * generic decoder uses a per-byte LUT (B dividing 8), a per-3-byte-
- * group extraction (B = 3), or a scalar two-byte window (B = 5..7);
- * the avx512 tier expands 64 indexes at a time in-register for
- * B <= 6. Decode is integer-exact, so every tier produces identical
- * bytes and feeds them to the same lutDot/correction arithmetic —
+ * Only the B-bit index stream stays resident, and nothing widens it
+ * in memory: the executing tier's KernelSet::lutDot reads it directly
+ * and expands each 16-index group in registers (kernels/kernels.hh).
+ * Expansion is integer-exact and lutDot has one numeric contract, so
  * outputs are bit-identical across tiers.
  */
 class QuantizedLinear
@@ -83,20 +81,20 @@ class QuantizedLinear
     /**
      * Forward pass straight from the compressed form: x is [seq, in].
      * Parallelizes over a 2-D output-row-block × token-block grid on
-     * the context's threads. Each task decodes its row block once
-     * into the thread's decode buffer (exec/scratch.hh) — the hot
-     * path never allocates — and runs it through the context tier's
-     * lutDot against up to seqTile tokens at a time; bias and the
-     * row's outlier corrections are then added in double, in row
-     * order. Every y(s, o) is computed on its own by exactly one grid
-     * cell under one numeric contract (DESIGN.md §11), so kernel
-     * tiers AND thread counts are bit-identical here.
+     * the context's threads. Each task runs its rows, 8 at a time,
+     * through the context tier's lutDot on the packed stream against
+     * up to seqTile tokens at a time, then writes y(s, o) =
+     * float(double(bias) + double(sum) + each outlier correction in
+     * row order). Nothing but the output is allocated. Every y(s, o)
+     * is computed on its own by exactly one grid cell under one
+     * numeric contract (DESIGN.md §11), so kernel tiers AND thread
+     * counts are bit-identical here.
      *
      * With an observer on the context, each call records one span
      * (named by `label`) plus qexec.* counters, global and per layer:
-     * forwards, rows decoded, weight bytes streamed and outlier
-     * corrections applied. Instrumentation happens outside the kernel
-     * loops and never touches float math.
+     * forwards, packed rows read (qexec.rows_decoded), weight bytes
+     * streamed and outlier corrections applied. Instrumentation
+     * happens outside the kernel loops and never touches float math.
      */
     Tensor forward(const ExecContext &ctx, const Tensor &x) const;
     Tensor forward(const Tensor &x) const;
@@ -104,8 +102,10 @@ class QuantizedLinear
     /**
      * Operations the paper's accumulate-then-multiply datapath performs
      * at this sequence length (bucket adds, one multiply per centroid,
-     * one MAC per outlier) — the accelerator's count, not the CPU
-     * kernel's.
+     * one MAC per outlier): GOBO's hardware model, which memsim and
+     * `gobo audit` report. It is not what lutDot executes on a CPU,
+     * which is one multiply and one add per weight and token (the
+     * count denseOpCounts gives).
      */
     OpCounts opCounts(std::size_t seq) const;
 

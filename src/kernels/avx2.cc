@@ -14,7 +14,10 @@
  * exactly — the 16 partial sums live in two ymm (lanes i mod 16 in
  * 0..7 and 8..15), products are rounded before the add (deliberately
  * NOT fmadd), and centroid lookup is an exact vpermps or gather — so
- * the quantized FC output is bit-identical to the generic tier.
+ * the quantized FC output is bit-identical to the generic tier. It
+ * expands the packed indexes in registers (lutBlockAvx2), with the
+ * scalar helpers of kernels/packed.hh at the end of the stream and in
+ * the in % 16 tail.
  *
  * This file is compiled with -mavx2 -mfma on x86-64 builds only; on
  * other targets (or compilers without AVX2) it degrades to a stub that
@@ -22,6 +25,7 @@
  */
 
 #include "kernels/kernels.hh"
+#include "kernels/packed.hh"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -29,7 +33,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -325,9 +331,15 @@ struct LutAvx2
 
     LutAvx2(const float *t, std::size_t k) : table(t)
     {
+        // The k centroids repeat with period bit_ceil(k), which
+        // divides 2^B: entry i is centroid i mod 2^B, so an index may
+        // carry bits above B (lutBlockAvx2's in-register expansion).
+        const std::size_t period =
+            std::bit_ceil(std::min<std::size_t>(k, 16));
         alignas(32) float pad[16] = {};
-        for (std::size_t c = 0; c < k && c < 16; ++c)
-            pad[c] = t[c];
+        for (std::size_t i = 0; i < 16; ++i)
+            if (i % period < k)
+                pad[i] = t[i % period];
         lo = _mm256_load_ps(pad);
         hi = _mm256_load_ps(pad + 8);
     }
@@ -361,48 +373,74 @@ unrolled(F &&f)
 }
 
 /**
- * lutDot for NT tokens at once: each 16-index group is looked up once
- * and multiplied into every token's two accumulators. The in % 16
- * tail and the halving tree run on the spilled partial sums in scalar
- * code (mul then add; this TU is built with -ffp-contract=off).
+ * lutDot for one row against NT tokens at once: each 16-index group is
+ * expanded and looked up once and multiplied into every token's two
+ * accumulators.
+ *
+ * Expansion in registers, for B <= 7 or a byte-aligned B = 8: the 8
+ * indexes of a half group sit in the 8 bytes at its first byte, at
+ * the row's bit phase (8B bits is whole bytes). That word broadcast
+ * to four qwords, two vpsrlvq bring index 2l to the low dword of
+ * qword l and 2l + 1 to the low dword of a second vector, shifted up
+ * and blended in. Bits above B are the next fields': vpermps reads
+ * the low 3 bits (the table repeats with period 2^B), the Kind 1 blend
+ * bit 3, and the gather's indexes are masked. The groups whose loads
+ * would pass byteLen and the in % 16 tail run through the scalar
+ * lutFinish (kernels/packed.hh) on the spilled partial sums.
  */
 template <int Kind, std::size_t NT>
 void
-lutBlockAvx2(const std::uint8_t *idx, std::size_t in,
+lutBlockAvx2(const std::uint8_t *bytes, std::size_t byteLen,
+             std::size_t bit0, std::uint32_t bits, std::size_t in,
              const LutAvx2<Kind> &lut, const float *x, std::size_t ldx,
              float *sums)
 {
+    const std::uint8_t *row = bytes + bit0 / 8;
+    const auto phase = static_cast<long long>(bit0 % 8);
+    const auto b = static_cast<long long>(bits);
+    const __m256i even =
+        _mm256_setr_epi64x(phase, phase + 2 * b, phase + 4 * b, phase + 6 * b);
+    const __m256i odd = _mm256_add_epi64(even, _mm256_set1_epi64x(b));
+    const __m256i bmask = _mm256_set1_epi32((1 << bits) - 1);
+    auto expand = [&](const std::uint8_t *p) {
+        long long word;
+        std::memcpy(&word, p, sizeof word);
+        __m256i v = _mm256_set1_epi64x(word);
+        __m256i iv = _mm256_blend_epi32(
+            _mm256_srlv_epi64(v, even),
+            _mm256_slli_epi64(_mm256_srlv_epi64(v, odd), 32), 0xAA);
+        if constexpr (Kind == 2)
+            iv = _mm256_and_si256(iv, bmask);
+        return lut(iv);
+    };
+
     __m256 acc0[NT], acc1[NT];
     unrolled<NT>([&](auto t) {
         acc0[t] = _mm256_setzero_ps();
         acc1[t] = _mm256_setzero_ps();
     });
-    std::size_t i = 0;
-    for (; i + 16 <= in; i += 16) {
-        __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i));
-        __m256 w0 = lut(_mm256_cvtepu8_epi32(b));
-        __m256 w1 = lut(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)));
+    const std::size_t wide =
+        bit0 % 8 + 8 * bits <= 64
+            ? wideGroups(byteLen, bit0, 1, bits, in, bits + 8)
+            : 0;
+    for (std::size_t g = 0; g < wide; ++g) {
+        __m256 w0 = expand(row + 2 * bits * g);
+        __m256 w1 = expand(row + 2 * bits * g + bits);
         unrolled<NT>([&](auto t) {
-            const float *xs = x + t * ldx + i;
+            const float *xs = x + t * ldx + 16 * g;
             acc0[t] = _mm256_add_ps(
                 acc0[t], _mm256_mul_ps(w0, _mm256_loadu_ps(xs)));
             acc1[t] = _mm256_add_ps(
                 acc1[t], _mm256_mul_ps(w1, _mm256_loadu_ps(xs + 8)));
         });
     }
+    alignas(32) float p[NT * 16];
     unrolled<NT>([&](auto t) {
-        alignas(32) float p[16];
-        _mm256_store_ps(p, acc0[t]);
-        _mm256_store_ps(p + 8, acc1[t]);
-        const float *xs = x + t * ldx;
-        for (std::size_t l = 0; i + l < in; ++l)
-            p[l] = p[l] + lut.table[idx[i + l]] * xs[i + l];
-        for (std::size_t half = 8; half > 0; half /= 2)
-            for (std::size_t l = 0; l < half; ++l)
-                p[l] = p[l] + p[l + half];
-        sums[t] = p[0];
+        _mm256_store_ps(p + 16 * t, acc0[t]);
+        _mm256_store_ps(p + 16 * t + 8, acc1[t]);
     });
+    lutFinish(p, 1, NT, lut.table, bytes, byteLen, bit0, bits, in, 16 * wide,
+              x, ldx, sums, 0);
 }
 
 /** lutBlockAvx2<Kind, n> for n = 1..4, indexed by n - 1. */
@@ -415,9 +453,11 @@ lutBlocksAvx2(std::index_sequence<N...>)
 
 template <int Kind>
 void
-lutDotKindAvx2(const std::uint8_t *idx, std::size_t rows, std::size_t in,
-               const float *table, std::size_t k, const float *x,
-               std::size_t ldx, std::size_t seq, float *sums)
+lutDotKindAvx2(const std::uint8_t *bytes, std::size_t byteLen,
+               std::size_t bitOffset, std::uint32_t bits, std::size_t rows,
+               std::size_t in, const float *table, std::size_t k,
+               const float *x, std::size_t ldx, std::size_t seq,
+               float *sums)
 {
     static constexpr auto blocks =
         lutBlocksAvx2<Kind>(std::make_index_sequence<4>{});
@@ -427,23 +467,27 @@ lutDotKindAvx2(const std::uint8_t *idx, std::size_t rows, std::size_t in,
     for (std::size_t r = 0; r < rows; ++r)
         for (std::size_t s = 0; s < seq;) {
             std::size_t n = std::min<std::size_t>(seq - s, 4);
-            blocks[n - 1](idx + r * in, in, lut, x + s * ldx, ldx,
-                          sums + r * seq + s);
+            blocks[n - 1](bytes, byteLen, bitOffset + r * in * bits, bits,
+                          in, lut, x + s * ldx, ldx, sums + r * seq + s);
             s += n;
         }
 }
 
 void
-lutDotAvx2(const std::uint8_t *idx, std::size_t rows, std::size_t in,
-           const float *table, std::size_t k, const float *x,
-           std::size_t ldx, std::size_t seq, float *sums)
+lutDotAvx2(const std::uint8_t *bytes, std::size_t byteLen,
+           std::size_t bitOffset, std::uint32_t bits, std::size_t rows,
+           std::size_t in, const float *table, std::size_t k,
+           const float *x, std::size_t ldx, std::size_t seq, float *sums)
 {
     if (k <= 8)
-        lutDotKindAvx2<0>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx2<0>(bytes, byteLen, bitOffset, bits, rows, in, table,
+                          k, x, ldx, seq, sums);
     else if (k <= 16)
-        lutDotKindAvx2<1>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx2<1>(bytes, byteLen, bitOffset, bits, rows, in, table,
+                          k, x, ldx, seq, sums);
     else
-        lutDotKindAvx2<2>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx2<2>(bytes, byteLen, bitOffset, bits, rows, in, table,
+                          k, x, ldx, seq, sums);
 }
 
 } // namespace

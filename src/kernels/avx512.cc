@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512 kernel tier (F+BW+DQ+VL, optional VBMI decode fast path).
+ * AVX-512 kernel tier (F+BW+DQ+VL, optional VBMI fast paths).
  *
  * Dense kernels run 16-wide with masked tails (`__mmask16` loads keep
  * partial vectors exact: inactive lanes are never read, and masked
@@ -12,26 +12,24 @@
  *
  * lutDot keeps the kernels.hh numeric contract exactly: the 16
  * partial sums are one zmm, products are rounded before the add
- * (deliberately NOT fmadd), the in % 16 tail is a masked add, and
- * centroid lookup is an exact vpermps (B <= 4), vpermi2ps (B = 5) or
- * gather (B >= 6) — so the quantized FC output is bit-identical to the
- * generic tier. A call takes up to 16 tokens (KernelSet::seqTile)
- * and runs them through one register micro-tile of up to four rows x
- * four tokens: each looked-up weight vector feeds four tokens and each
- * loaded activation vector four rows.
+ * (deliberately NOT fmadd), and centroid lookup is an exact vpermps
+ * (B <= 4), vpermi2ps (B = 5) or gather (B >= 6) — so the quantized
+ * FC output is bit-identical to the generic tier. A call takes up to
+ * 16 tokens (KernelSet::seqTile) and runs them through one register
+ * micro-tile of up to four rows x four tokens: each looked-up weight
+ * vector feeds four tokens and each loaded activation vector four
+ * rows.
  *
- * Packed-row decode: when the CPU also has AVX-512 VBMI, groups of 64
- * B-bit indexes (B <= 6) decode with three instructions — vpermb
- * gathers the 8B payload bytes so qword lane l holds the bytes of its
- * 8 indexes, vpmultishiftqb extracts all 64 fields at per-lane bit
- * offsets {0, B, .., 7B}, and one AND masks to B bits. That replaces
- * the scalar LUT walk (one table row per byte) with an in-register
- * expansion at 64 indexes per iteration. Decode output is exact
- * bytes, so the fast path is freely interchangeable with the generic
- * decoder — the tier picks it at runtime via cpuid and falls back per
- * call for B > 6. The VBMI functions carry a target attribute instead
- * of TU-wide -mavx512vbmi so the rest of this file stays runnable on
- * F+BW+DQ+VL-only parts.
+ * lutDot reads the packed index stream itself and expands each row's
+ * 16-index group in registers (lutBlockAvx512): with AVX-512 VBMI and
+ * B <= 4, one vpmultishiftqb on a broadcast 8-byte load; otherwise two
+ * broadcast loads, two vpsrlvq and a masked vpshufd. The groups whose
+ * loads would pass the end of the stream, the in % 16 tail, and B = 8
+ * rows that start mid-byte go through the scalar helpers every tier
+ * shares (kernels/packed.hh). vpmultishiftqb is emitted as inline
+ * assembly and cpuid-gated, so this file stays runnable on
+ * F+BW+DQ+VL-only parts. Packed-row decode (KernelSet::decodePackedRow,
+ * off the FC path) is the generic tier's.
  *
  * This file is compiled with -mavx512f -mavx512bw -mavx512dq
  * -mavx512vl on x86-64 builds only; elsewhere it degrades to a stub
@@ -39,6 +37,7 @@
  */
 
 #include "kernels/kernels.hh"
+#include "kernels/packed.hh"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) \
     && defined(__AVX512DQ__) && defined(__AVX512VL__)
@@ -57,14 +56,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
-
-#if defined(__GNUC__) || defined(__clang__)
-#define GOBO_VBMI_DECODE 1
-#define GOBO_VBMI_TARGET __attribute__((target("avx512vbmi")))
-#endif
 
 namespace gobo {
 
@@ -368,13 +364,24 @@ struct LutAvx512
 
     LutAvx512(const float *t, std::size_t k) : table(t)
     {
-        // Entries past k are zero; indexes never reach them.
-        std::size_t n_lo = k < 16 ? k : 16;
-        std::size_t n_hi = k > 16 ? (k < 32 ? k - 16 : 16) : 0;
-        lo = _mm512_maskz_loadu_ps(
-            static_cast<__mmask16>((1u << n_lo) - 1u), t);
-        hi = _mm512_maskz_loadu_ps(
-            static_cast<__mmask16>((1u << n_hi) - 1u), t + 16);
+        if constexpr (Kind == 0) {
+            // The k centroids repeat with period bit_ceil(k), which
+            // divides 2^B: entry i is centroid i mod 2^B, so an index
+            // expanded in registers may carry bits above B.
+            const std::size_t period = std::bit_ceil(k);
+            alignas(64) float rep[16] = {};
+            for (std::size_t i = 0; i < 16; ++i)
+                if (i % period < k)
+                    rep[i] = t[i % period];
+            lo = _mm512_load_ps(rep);
+            hi = lo;
+        } else {
+            // Entries past k are zero; indexes never reach them.
+            std::size_t n_hi = k < 32 ? k - 16 : 16;
+            lo = _mm512_loadu_ps(t);
+            hi = _mm512_maskz_loadu_ps(
+                static_cast<__mmask16>((1u << n_hi) - 1u), t + 16);
+        }
     }
 
     __m512
@@ -414,83 +421,153 @@ unrolled(F &&f)
 }
 
 /**
- * lutDot for R rows x NT tokens at once: each row's 16-index group is
- * looked up once and multiplied into every token's accumulator, and
- * each token's activation vector is loaded once for all R rows. The
- * in % 16 tail runs masked — mask_add leaves the lanes past `in`
- * untouched, as the contract requires (a masked lane may look up
- * index 0 against x = 0, which is NaN for an infinite centroid, and
- * must not land). Row r's sums go to sums[r * sstride + t].
+ * vpmultishiftqb with a broadcast 8-byte memory operand: byte b of
+ * every qword is the 8 bits at offset ctrl byte b (mod 64) of the 8
+ * bytes at p. Inline assembly, so the TU needs no VBMI code
+ * generation; only the VBMI tile, which cpuid gates, runs it.
  */
-template <int Kind, std::size_t R, std::size_t NT>
+inline __m512i
+multishiftBroadcast(__m512i ctrl, const std::uint8_t *p)
+{
+    __m512i out;
+    asm("vpmultishiftqb %2%{1to8%}, %1, %0"
+        : "=v"(out)
+        : "v"(ctrl), "m"(*reinterpret_cast<const char(*)[8]>(p)));
+    return out;
+}
+
+/**
+ * lutDot for R rows x NT tokens at once, rows starting at bit0, bit0 +
+ * in * bits, ..: each row's 16-index group is expanded in registers
+ * and looked up once, then multiplied into every token's accumulator,
+ * and each token's activation vector is loaded once for all R rows.
+ * Row r's sums go to sums[r * sstride + t].
+ *
+ * Vbmi (B <= 4, each row's phase + 16B <= 64, checked by the caller):
+ * one vpmultishiftqb on the group's 8 bytes, whose control byte 4j
+ * takes the bits at phase + j * B into dword j's low byte.
+ *
+ * Otherwise (B <= 7, or B = 8 at a whole byte): indexes 0..7 sit in
+ * the 8 bytes at the group's first byte, 8..15 in the 8 bytes B bytes
+ * on, both at the row's bit phase (8B bits is whole bytes). One vector
+ * holds the first word in qwords 0-3 and the second in 4-7; two
+ * vpsrlvq bring index 2l to the low dword of qword l and 2l + 1 to the
+ * low dword of a second vector, and a masked vpshufd moves it up.
+ *
+ * Either way the bits above B in a dword are other fields': vpermps
+ * and vpermi2ps read only the low 4 or 5 bits (Kind 0's table repeats
+ * with period 2^B), and the gather's indexes are masked.
+ */
+template <int Kind, bool Vbmi, std::size_t R, std::size_t NT>
 void
-lutBlockAvx512(const std::uint8_t *idx, std::size_t in,
+lutBlockAvx512(const std::uint8_t *bytes, std::size_t byteLen,
+               std::size_t bit0, std::uint32_t bits, std::size_t in,
                const LutAvx512<Kind> &lut, const float *x,
                std::size_t ldx, float *sums, std::size_t sstride)
 {
+    const std::size_t row_bits = in * bits;
+    const __m512i field =
+        Vbmi ? _mm512_mullo_epi32(_mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7,
+                                                    8, 9, 10, 11, 12, 13,
+                                                    14, 15),
+                                  _mm512_set1_epi32(static_cast<int>(bits)))
+             : _mm512_mullo_epi64(_mm512_setr_epi64(0, 2, 4, 6, 0, 2, 4, 6),
+                                  _mm512_set1_epi64(bits));
+    bool in_registers = true;
+    const std::uint8_t *row[R];
+    __m512i ctrl[R];
+    unrolled<R>([&](auto r) {
+        std::size_t bit = bit0 + r * row_bits;
+        row[r] = bytes + bit / 8;
+        ctrl[r] = _mm512_add_epi32(
+            field, Vbmi ? _mm512_set1_epi32(static_cast<int>(bit % 8))
+                        : _mm512_set1_epi64(bit % 8));
+        in_registers = in_registers && (Vbmi || bit % 8 + 8 * bits <= 64);
+    });
     __m512 acc[R][NT];
     unrolled<R>([&](auto r) {
         unrolled<NT>([&](auto t) { acc[r][t] = _mm512_setzero_ps(); });
     });
-    std::size_t i = 0;
-    for (; i + 16 <= in; i += 16) {
+    const std::size_t wide =
+        in_registers
+            ? wideGroups(byteLen, bit0, R, bits, in, Vbmi ? 8 : bits + 8)
+            : 0;
+    const __m512i step = _mm512_set1_epi64(bits);
+    const __m512i bmask = _mm512_set1_epi32((1 << bits) - 1);
+    for (std::size_t g = 0; g < wide; ++g) {
         __m512 w[R];
         unrolled<R>([&](auto r) {
-            w[r] = lut(_mm512_cvtepu8_epi32(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(idx + r * in + i))));
+            const std::uint8_t *p = row[r] + 2 * bits * g;
+            __m512i iv;
+            if constexpr (Vbmi) {
+                iv = multishiftBroadcast(ctrl[r], p);
+            } else {
+                long long lo, hi;
+                std::memcpy(&lo, p, sizeof lo);
+                std::memcpy(&hi, p + bits, sizeof hi);
+                __m512i v = _mm512_mask_set1_epi64(_mm512_set1_epi64(lo),
+                                                   0xF0, hi);
+                iv = _mm512_mask_shuffle_epi32(
+                    _mm512_srlv_epi64(v, ctrl[r]), 0xAAAA,
+                    _mm512_srlv_epi64(v, _mm512_add_epi64(ctrl[r], step)),
+                    _MM_PERM_CCAA);
+            }
+            if constexpr (Kind == 2)
+                iv = _mm512_and_si512(iv, bmask);
+            w[r] = lut(iv);
         });
         unrolled<NT>([&](auto t) {
-            __m512 xv = _mm512_loadu_ps(x + t * ldx + i);
+            __m512 xv = _mm512_loadu_ps(x + t * ldx + 16 * g);
             unrolled<R>([&](auto r) {
                 acc[r][t] =
                     _mm512_add_ps(acc[r][t], _mm512_mul_ps(w[r], xv));
             });
         });
     }
-    if (i < in) {
-        const auto m = static_cast<__mmask16>((1u << (in - i)) - 1u);
-        __m512 w[R];
+    if (16 * wide == in) {
         unrolled<R>([&](auto r) {
-            w[r] = lut(_mm512_cvtepu8_epi32(
-                _mm_maskz_loadu_epi8(m, idx + r * in + i)));
-        });
-        unrolled<NT>([&](auto t) {
-            __m512 xv = _mm512_maskz_loadu_ps(m, x + t * ldx + i);
-            unrolled<R>([&](auto r) {
-                acc[r][t] = _mm512_mask_add_ps(
-                    acc[r][t], m, acc[r][t], _mm512_mul_ps(w[r], xv));
+            unrolled<NT>([&](auto t) {
+                sums[r * sstride + t] = lutTree(acc[r][t]);
             });
         });
+        return;
     }
+    // The groups past `wide` and the in % 16 tail: scalar, on the
+    // spilled partial sums.
+    alignas(64) float p[R * NT * 16];
     unrolled<R>([&](auto r) {
         unrolled<NT>([&](auto t) {
-            sums[r * sstride + t] = lutTree(acc[r][t]);
+            _mm512_store_ps(p + (r * NT + t) * 16, acc[r][t]);
         });
     });
+    lutFinish(p, R, NT, lut.table, bytes, byteLen, bit0, bits, in, 16 * wide,
+              x, ldx, sums, sstride);
 }
 
-/** lutBlockAvx512<Kind, R, NT> for R, NT in 1..4, indexed by
+/** lutBlockAvx512<Kind, Vbmi, R, NT> for R, NT in 1..4, indexed by
  * [R - 1][NT - 1]. */
-template <int Kind, std::size_t... R>
+template <int Kind, bool Vbmi, std::size_t... R>
 constexpr auto
 lutTilesAvx512(std::index_sequence<R...>)
 {
-    return std::array{std::array{&lutBlockAvx512<Kind, R + 1, 1>,
-                                 &lutBlockAvx512<Kind, R + 1, 2>,
-                                 &lutBlockAvx512<Kind, R + 1, 3>,
-                                 &lutBlockAvx512<Kind, R + 1, 4>}...};
+    return std::array{std::array{&lutBlockAvx512<Kind, Vbmi, R + 1, 1>,
+                                 &lutBlockAvx512<Kind, Vbmi, R + 1, 2>,
+                                 &lutBlockAvx512<Kind, Vbmi, R + 1, 3>,
+                                 &lutBlockAvx512<Kind, Vbmi, R + 1, 4>}...};
 }
 
 template <int Kind>
 void
-lutDotKindAvx512(const std::uint8_t *idx, std::size_t rows,
-                 std::size_t in, const float *table, std::size_t k,
-                 const float *x, std::size_t ldx, std::size_t seq,
-                 float *sums)
+lutDotKindAvx512(const std::uint8_t *bytes, std::size_t byteLen,
+                 std::size_t bitOffset, std::uint32_t bits,
+                 std::size_t rows, std::size_t in, const float *table,
+                 std::size_t k, const float *x, std::size_t ldx,
+                 std::size_t seq, float *sums, bool vbmi)
 {
     static constexpr auto tiles =
-        lutTilesAvx512<Kind>(std::make_index_sequence<4>{});
+        lutTilesAvx512<Kind, false>(std::make_index_sequence<4>{});
     const LutAvx512<Kind> lut(table, k);
+    const std::size_t row_bits = in * bits;
     // One micro-tile family: up to four rows x four tokens, so each
     // looked-up weight vector feeds four tokens and each activation
     // load four rows (16 accumulators + 4 weights + 2 table registers
@@ -503,109 +580,42 @@ lutDotKindAvx512(const std::uint8_t *idx, std::size_t rows,
         std::size_t nt = std::min(seq - s, kMicro);
         for (std::size_t r = 0; r < rows; r += kMicro) {
             std::size_t nr = std::min(rows - r, kMicro);
-            tiles[nr - 1][nt - 1](idx + r * in, in, lut, x + s * ldx,
-                                  ldx, sums + r * seq + s, seq);
+            std::size_t bit = bitOffset + r * row_bits;
+            auto tile = tiles[nr - 1][nt - 1];
+            if constexpr (Kind == 0) {
+                // The VBMI tile needs each row's group in one word.
+                static constexpr auto vbmi_tiles =
+                    lutTilesAvx512<0, true>(std::make_index_sequence<4>{});
+                bool fits = vbmi;
+                for (std::size_t q = 0; q < nr; ++q)
+                    fits = fits && (bit + q * row_bits) % 8 + 16 * bits <= 64;
+                if (fits)
+                    tile = vbmi_tiles[nr - 1][nt - 1];
+            }
+            tile(bytes, byteLen, bit, bits, in, lut, x + s * ldx, ldx,
+                 sums + r * seq + s, seq);
         }
     }
 }
 
+/** lutDot; `Vbmi` when the CPU has VBMI, used by Kind 0 rows with B <= 4. */
+template <bool Vbmi>
 void
-lutDotAvx512(const std::uint8_t *idx, std::size_t rows, std::size_t in,
-             const float *table, std::size_t k, const float *x,
-             std::size_t ldx, std::size_t seq, float *sums)
+lutDotAvx512(const std::uint8_t *bytes, std::size_t byteLen,
+             std::size_t bitOffset, std::uint32_t bits, std::size_t rows,
+             std::size_t in, const float *table, std::size_t k,
+             const float *x, std::size_t ldx, std::size_t seq, float *sums)
 {
     if (k <= 16)
-        lutDotKindAvx512<0>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx512<0>(bytes, byteLen, bitOffset, bits, rows, in,
+                            table, k, x, ldx, seq, sums, Vbmi);
     else if (k <= 32)
-        lutDotKindAvx512<1>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx512<1>(bytes, byteLen, bitOffset, bits, rows, in,
+                            table, k, x, ldx, seq, sums, false);
     else
-        lutDotKindAvx512<2>(idx, rows, in, table, k, x, ldx, seq, sums);
+        lutDotKindAvx512<2>(bytes, byteLen, bitOffset, bits, rows, in,
+                            table, k, x, ldx, seq, sums, false);
 }
-
-#ifdef GOBO_VBMI_DECODE
-
-/**
- * VBMI bulk decode: 64 indexes per iteration for B <= 6.
- *
- * One 64-byte window holds at least the 8B payload bytes of the next
- * 64 indexes (8B <= 48). vpermb places payload bytes q*B..q*B+7 in
- * qword lane q, so lane q spans the 64 packed bits that contain its 8
- * indexes; vpmultishiftqb then extracts an 8-bit field per output
- * byte at bit offsets {0, B, .., 7B} within each qword (7B + 8 <= 50,
- * so no field wraps), and the AND keeps the low B bits. The head
- * (unaligned bit offset) and tail (fewer than 64 indexes, or a window
- * that would read past byteLen) fall back to the scalar reference.
- */
-GOBO_VBMI_TARGET
-void
-decodePackedRowVbmi(const std::uint8_t *bytes, std::size_t byteLen,
-                    std::size_t bitOffset, std::uint32_t bits,
-                    std::size_t n, std::uint8_t *out)
-{
-    if (bits > 6) {
-        decodePackedRowGeneric(bytes, byteLen, bitOffset, bits, n,
-                               out);
-        return;
-    }
-    const std::uint32_t b = bits;
-    std::size_t bit = bitOffset;
-    std::size_t i = 0;
-    // Byte-align the stream position: 8 indexes advance 8*B bits, a
-    // whole number of bytes, so at most 7 scalar steps are needed.
-    const std::uint32_t mask = (1u << b) - 1u;
-    while (i < n && bit % 8 != 0) {
-        std::size_t byte = bit / 8;
-        auto shift = static_cast<unsigned>(bit % 8);
-        std::uint32_t window = bytes[byte];
-        if (shift + b > 8)
-            window |= static_cast<std::uint32_t>(bytes[byte + 1]) << 8;
-        out[i] = static_cast<std::uint8_t>((window >> shift) & mask);
-        ++i;
-        bit += b;
-    }
-
-    // Per-B byte gather and shift controls, built once: a packed row
-    // of 768 indexes is only 12 bulk groups, so rebuilding them per
-    // call cost more than the decode itself.
-    struct alignas(64) Controls
-    {
-        std::uint8_t perm[64], shift[64];
-    };
-    static const auto controls = [] {
-        std::array<Controls, 7> c{};
-        for (std::uint32_t w = 1; w <= 6; ++w)
-            for (std::uint32_t q = 0; q < 8; ++q)
-                for (std::uint32_t p = 0; p < 8; ++p) {
-                    c[w].perm[q * 8 + p] =
-                        static_cast<std::uint8_t>(q * w + p);
-                    c[w].shift[q * 8 + p] =
-                        static_cast<std::uint8_t>(p * w);
-                }
-        return c;
-    }();
-    const __m512i perm = _mm512_load_si512(controls[b].perm);
-    const __m512i shifts = _mm512_load_si512(controls[b].shift);
-    const __m512i maskv = _mm512_set1_epi8(static_cast<char>(mask));
-
-    std::size_t byte = bit / 8;
-    // The full 64-byte load must stay inside the stream; the last few
-    // groups near the end of the buffer take the scalar tail instead.
-    while (n - i >= 64 && byte + 64 <= byteLen) {
-        __m512i win = _mm512_loadu_si512(bytes + byte);
-        __m512i gathered = _mm512_permutexvar_epi8(perm, win);
-        __m512i fields =
-            _mm512_multishift_epi64_epi8(shifts, gathered);
-        _mm512_storeu_si512(out + i,
-                            _mm512_and_si512(fields, maskv));
-        i += 64;
-        bit += std::size_t{64} * b;
-        byte += std::size_t{8} * b;
-    }
-    if (i < n)
-        decodePackedRowGeneric(bytes, byteLen, bit, b, n - i, out + i);
-}
-
-#endif // GOBO_VBMI_DECODE
 
 } // namespace
 
@@ -623,12 +633,10 @@ avx512KernelsBuild()
         s.layerNormRow = layerNormRowAvx512;
         s.geluRow = geluRowAvx512;
         s.tanhRow = tanhRowAvx512;
-        s.lutDot = lutDotAvx512;
+        s.lutDot = lutDotAvx512<false>;
         s.decodePackedRow = decodePackedRowGeneric;
-#ifdef GOBO_VBMI_DECODE
         if (cpuSupportsAvx512Vbmi())
-            s.decodePackedRow = decodePackedRowVbmi;
-#endif
+            s.lutDot = lutDotAvx512<true>;
         return s;
     }();
     return &set;

@@ -16,9 +16,9 @@
  *            they match generic only to tolerance; lutDot keeps its
  *            16 partial sums in two ymm and stays bit-identical.
  *   avx512   AVX-512 F+BW+DQ+VL kernels: 16-wide dense/row kernels
- *            with masked tails, a one-zmm lutDot, and — when the CPU
- *            also has VBMI — an in-register packed-row decoder
- *            (vpermb + vpmultishiftqb) for B <= 6.
+ *            with masked tails and a one-zmm lutDot, which expands
+ *            each 16-index group with one vpmultishiftqb when the CPU
+ *            also has VBMI and B <= 4.
  *
  * The active tier is chosen once at startup: cpuid picks the best
  * supported tier, and the GOBO_KERNEL environment variable
@@ -29,9 +29,10 @@
  * Determinism contract (DESIGN.md §11): thread counts are
  * bit-identical *within* a tier; across tiers, quantized FC outputs
  * are bit-identical (lutDot has one numeric contract, and centroid
- * lookup is exact) while dense ops carry tolerance-level differences. Row decode produces exact bytes
- * (a pure function of the packed stream), so every tier's decoder is
- * interchangeable. NaN and Inf propagate through every kernel in
+ * lookup is exact) while dense ops carry tolerance-level differences.
+ * Index expansion and row decode produce exact integers (a pure
+ * function of the packed stream), so every tier's expander and
+ * decoder is interchangeable. NaN and Inf propagate through every kernel in
  * every tier.
  */
 
@@ -100,10 +101,14 @@ struct KernelSet
 
     /**
      * Compressed-domain dot products of `rows` weight rows against
-     * `seq` activation rows: `idx` holds each row's `in` decoded
-     * centroid indexes (each < k; row r starts at idx + r * in),
-     * `table` the k centroids, and token s reads x[s * ldx + i]. For
-     * each (row r, token s), sums[r * seq + s] is
+     * `seq` activation rows, read straight from the packed index
+     * stream: `bytes` holds `byteLen` bytes of `bits`-wide indexes
+     * (each < k, LSB-first), row 0 starts `bitOffset` bits in and row
+     * r starts r * in * bits bits after it. `table` holds the k
+     * centroids, and token s reads x[s * ldx + i]. No index is
+     * widened into memory first, and no byte at or past `byteLen` is
+     * read. For each (row r, token s) with row indexes idx[0..in),
+     * sums[r * seq + s] is
      *
      *   p[0..15] = +0;  p[i mod 16] = p[i mod 16] + table[idx[i]] * x[i]
      *                   for i = 0, 1, .., in-1   (fp32, multiply then
@@ -112,20 +117,23 @@ struct KernelSet
      *   l += l+8, then l += l+4, l += l+2, l += l+1 over p; sum = p[0]
      *
      * Every tier computes exactly these bits. Tiers differ only in
-     * how they look the centroids up (always exact) and in how many
-     * rows and tokens share one register micro-tile.
+     * how they expand and look the indexes up (always exact) and in
+     * how many rows and tokens share one register micro-tile.
      */
-    void (*lutDot)(const std::uint8_t *idx, std::size_t rows,
-                   std::size_t in, const float *table, std::size_t k,
-                   const float *x, std::size_t ldx, std::size_t seq,
-                   float *sums);
+    void (*lutDot)(const std::uint8_t *bytes, std::size_t byteLen,
+                   std::size_t bitOffset, std::uint32_t bits,
+                   std::size_t rows, std::size_t in, const float *table,
+                   std::size_t k, const float *x, std::size_t ldx,
+                   std::size_t seq, float *sums);
 
     /**
      * Expand `n` consecutive `bits`-wide indexes, starting `bitOffset`
      * bits into the packed stream `bytes` (of `byteLen` total bytes),
      * into one byte each. Decode is integer-exact, so tiers may
      * restructure it freely: the output bytes are identical across
-     * tiers.
+     * tiers. The FC path does not use it (lutDot reads the stream
+     * itself); its users are the row-decode tests, the micro_kernels
+     * `decode_row` cells and perfbench's `kernels.decode_gbps`.
      */
     void (*decodePackedRow)(const std::uint8_t *bytes,
                             std::size_t byteLen, std::size_t bitOffset,
@@ -143,9 +151,8 @@ const KernelSet &genericKernels();
 const KernelSet *avx2Kernels();
 
 /**
- * The AVX-512 tier (F+BW+DQ+VL, with a VBMI fast-path decoder picked
- * at runtime), or nullptr when the build or the CPU does not support
- * it.
+ * The AVX-512 tier (F+BW+DQ+VL, with a VBMI lutDot path picked at
+ * runtime), or nullptr when the build or the CPU does not support it.
  */
 const KernelSet *avx512Kernels();
 
@@ -156,9 +163,9 @@ bool cpuSupportsAvx2();
 bool cpuSupportsAvx512();
 
 /**
- * The reference scalar row decoder (byte-LUT for B dividing 8, 24-bit
- * groups for B=3, two-byte windows otherwise). Every tier without a
- * native decoder points at this; exposed for tests.
+ * The one packed-row decoder: every tier's decodePackedRow points at
+ * it. It expands 16 indexes at a time with the scalar helper lutDot's
+ * tails use (kernels/packed.hh).
  */
 void decodePackedRowGeneric(const std::uint8_t *bytes,
                             std::size_t byteLen, std::size_t bitOffset,

@@ -157,6 +157,8 @@ auditModel(const BertModel &model, const AuditOptions &options)
         labels.push_back(layer.spanLabel());
         // The pooler consumes only the [CLS] row, so its forward runs
         // at sequence length 1 regardless of the workload seq-len.
+        // These are GOBO's bucket datapath's multiplies (opCounts), the
+        // hardware model memsim prices, not the CPU kernel's work.
         std::size_t seq = layer.spanLabel() == "pooler" ? 1
                                                         : options.seqLen;
         per_forward_macs.push_back(static_cast<double>(

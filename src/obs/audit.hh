@@ -151,7 +151,8 @@ struct AuditReport
  * quantized pass is observed, and its qexec.layer.* counters become
  * the measured-traffic inputs. MACs are derived as forwards x the
  * layer's per-forward multiplication count (the pooler runs at
- * sequence length 1).
+ * sequence length 1) in GOBO's bucket hardware model
+ * (QuantizedLinear::opCounts), not what the CPU's lutDot executes.
  */
 AuditReport auditModel(const BertModel &model,
                        const AuditOptions &options);

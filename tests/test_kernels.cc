@@ -6,15 +6,16 @@
  *   - the generic tier's fp32 engine is bit-identical to the
  *     pre-kernel-layer scalar code, and its quantized engine to the
  *     lutDot contract (golden logits);
- *   - lutDot follows its numeric contract (kernels.hh) bit for bit on
- *     every tier, at every micro-tile shape, table size and
- *     in % 16 tail, asserted against a test-side scalar implementation;
+ *   - lutDot reads the packed index stream and follows its numeric
+ *     contract (kernels.hh) bit for bit on every tier, at every B, bit
+ *     phase, micro-tile shape, table size and in % 16 tail, up to the
+ *     stream's last byte, asserted against a test-side scalar
+ *     implementation;
  *     whole QuantizedLinear forwards match the same contract on every
  *     tier and thread count, up to paper width, and stay
  *     within 1e-5 of the paper's accumulate-then-multiply order;
  *   - packed-row decode (KernelSet::decodePackedRow) is integer-exact
- *     on every tier, for every B, unaligned bit offsets, and lengths
- *     around the 64-index bulk-group boundary;
+ *     on every tier, for every B, unaligned bit offsets and lengths;
  *   - the dense/row SIMD kernels match generic to tolerance, on every
  *     masked-tail length, and propagate NaN/Inf exactly.
  * AVX2 cases skip on hosts without AVX2+FMA; AVX-512 cases skip (with
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -576,63 +578,67 @@ TEST(QexecTile, PaperWidthBitIdenticalAcrossTiersAndThreads)
 }
 
 // ---------------------------------------------------------------------
-// lutDot on its own: every tier reproduces the contract for every B,
-// row width, token count, stride and table size.
+// lutDot on its own: every tier reads the packed stream and reproduces
+// the contract for every B, row width, bit phase, row and token count,
+// stride and table size.
+
+/** `idx` packed at `bits` per index, sized exactly to its bytes so an
+ * address sanitizer flags any read past the end. */
+std::vector<std::uint8_t>
+packStream(const std::vector<std::uint8_t> &idx, unsigned bits)
+{
+    std::vector<std::uint32_t> wide(idx.begin(), idx.end());
+    auto bytes = packIndexes(wide, bits);
+    EXPECT_EQ(bytes.size(), (idx.size() * bits + 7) / 8);
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
 
 TEST(LutKernels, MatchesContractOnEveryTier)
 {
+    // Each call ends at the tensor's last row, so the last groups'
+    // loads meet the end of the stream; odd `in` starts rows mid-byte
+    // (the B = 4 fallback of the avx512 VBMI path).
     std::mt19937_64 eng(7);
-    for (const KernelSet *tier : allTiers()) {
-        SCOPED_TRACE(tier->name);
-        for (unsigned bits = 2; bits <= 8; ++bits) {
-            std::size_t k = std::size_t{1} << bits;
-            auto table = randomVec(k, eng());
-            for (std::size_t in : {std::size_t{1}, std::size_t{13},
-                                   std::size_t{24}, std::size_t{64},
-                                   std::size_t{257}}) {
-                // Five rows: a full 4-row tile plus a remainder.
-                const std::size_t rows = 5;
-                std::vector<std::uint8_t> idx(rows * in);
-                for (auto &v : idx)
-                    v = static_cast<std::uint8_t>(eng() % k);
-                // Rows `in + 3` apart: the kernel must honour ldx.
-                const std::size_t ldx = in + 3, seq = 33;
-                auto x = randomVec(seq * ldx, eng());
-                std::vector<float> sums(rows * seq, kNan);
-                tier->lutDot(idx.data(), rows, in, table.data(), k,
-                             x.data(), ldx, seq, sums.data());
-                for (std::size_t r = 0; r < rows; ++r)
-                    for (std::size_t s = 0; s < seq; ++s)
-                        ASSERT_EQ(sums[r * seq + s],
-                                  contractSum(idx.data() + r * in, in,
-                                              table.data(),
-                                              x.data() + s * ldx))
-                            << "bits=" << bits << " in=" << in
-                            << " r=" << r << " s=" << s;
-            }
-            // Paper FFN width with token rows 16 KiB apart, so every
-            // token's activation lines share their L1 set: nine rows
-            // (two full 4-row tiles and a remainder) at every token
-            // count up to one 16-token call plus one.
-            const std::size_t in = 3072, ldx = 4096, rows = 9;
-            std::vector<std::uint8_t> idx(rows * in);
+    constexpr std::size_t kRows = 9, kMaxSeq = 17;
+    const std::size_t seqs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17};
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+        std::size_t k = std::size_t{1} << bits;
+        auto table = randomVec(k, eng());
+        for (std::size_t in : {std::size_t{1}, std::size_t{13},
+                               std::size_t{24}, std::size_t{64},
+                               std::size_t{257}, std::size_t{768},
+                               std::size_t{3072}}) {
+            std::vector<std::uint8_t> idx(kRows * in);
             for (auto &v : idx)
                 v = static_cast<std::uint8_t>(eng() % k);
-            auto x = randomVec(17 * ldx, eng());
-            for (std::size_t seq = 1; seq <= 17; ++seq) {
-                std::vector<float> sums(rows * seq, kNan);
-                tier->lutDot(idx.data(), rows, in, table.data(), k,
-                             x.data(), ldx, seq, sums.data());
-                for (std::size_t r = 0; r < rows; ++r)
-                    for (std::size_t s = 0; s < seq; ++s)
-                        ASSERT_EQ(sums[r * seq + s],
-                                  contractSum(idx.data() + r * in, in,
-                                              table.data(),
-                                              x.data() + s * ldx))
-                            << "bits=" << bits << " in=" << in
-                            << " seq=" << seq << " r=" << r
-                            << " s=" << s;
-            }
+            const auto stream = packStream(idx, bits);
+            // Rows `in + 3` apart: the kernel must honour ldx.
+            const std::size_t ldx = in + 3;
+            auto x = randomVec(kMaxSeq * ldx, eng());
+            std::vector<float> want(kRows * kMaxSeq);
+            for (std::size_t r = 0; r < kRows; ++r)
+                for (std::size_t s = 0; s < kMaxSeq; ++s)
+                    want[r * kMaxSeq + s] =
+                        contractSum(idx.data() + r * in, in, table.data(),
+                                    x.data() + s * ldx);
+            for (const KernelSet *tier : allTiers())
+                for (std::size_t rows = 1; rows <= kRows; ++rows)
+                    for (std::size_t seq : seqs) {
+                        const std::size_t r0 = kRows - rows;
+                        std::vector<float> sums(rows * seq, kNan);
+                        tier->lutDot(stream.data(), stream.size(),
+                                     r0 * in * bits, bits, rows, in,
+                                     table.data(), k, x.data(), ldx, seq,
+                                     sums.data());
+                        for (std::size_t r = 0; r < rows; ++r)
+                            for (std::size_t s = 0; s < seq; ++s)
+                                ASSERT_EQ(sums[r * seq + s],
+                                          want[(r0 + r) * kMaxSeq + s])
+                                    << tier->name << " bits=" << bits
+                                    << " in=" << in << " rows=" << rows
+                                    << " seq=" << seq << " r=" << r
+                                    << " s=" << s;
+                    }
         }
     }
 }
@@ -643,8 +649,9 @@ TEST(LutKernels, BlockingAndTableSizeInvariant)
     // share the call (every micro-tile shape and remainder: 1..9 rows,
     // past two full 4-row tiles and qexec's 8-row chunk; 1..17 and
     // 31..33 tokens), and tables shorter than 2^B — which the SIMD
-    // lookups zero-pad — must look up the same centroids as a full
-    // one.
+    // lookups pad, with zeros or by repeating the table — must look
+    // up the same centroids as a full one, at the narrowest B that
+    // holds k and at one bit wider.
     std::mt19937_64 eng(19);
     const std::size_t in = 40, max_rows = 9, max_seq = 33;
     for (const KernelSet *tier : allTiers()) {
@@ -658,41 +665,51 @@ TEST(LutKernels, BlockingAndTableSizeInvariant)
             for (auto &v : idx)
                 v = static_cast<std::uint8_t>(eng() % k);
             auto x = randomVec(max_seq * in, eng());
-            std::vector<float> one(max_rows * max_seq);
-            for (std::size_t r = 0; r < max_rows; ++r)
-                for (std::size_t s = 0; s < max_seq; ++s) {
-                    float &v = one[r * max_seq + s];
-                    tier->lutDot(idx.data() + r * in, 1, in, table.data(),
-                                 k, x.data() + s * in, in, 1, &v);
-                    ASSERT_EQ(v, contractSum(idx.data() + r * in, in,
-                                             table.data(),
-                                             x.data() + s * in))
-                        << "k=" << k << " r=" << r << " s=" << s;
-                }
-            for (std::size_t rows = 1; rows <= max_rows; ++rows)
-                for (std::size_t seq = 1; seq <= max_seq; ++seq) {
-                    if (seq > 17 && seq < 31)
-                        continue;
-                    std::vector<float> sums(rows * seq);
-                    tier->lutDot(idx.data(), rows, in, table.data(), k,
-                                 x.data(), in, seq, sums.data());
-                    for (std::size_t r = 0; r < rows; ++r)
-                        for (std::size_t s = 0; s < seq; ++s)
-                            ASSERT_EQ(sums[r * seq + s],
-                                      one[r * max_seq + s])
-                                << "k=" << k << " rows=" << rows
-                                << " seq=" << seq << " r=" << r
-                                << " s=" << s;
-                }
+            const auto narrow = static_cast<unsigned>(std::bit_width(k - 1));
+            for (unsigned bits : {narrow, std::min(narrow + 1, 8u)}) {
+                const auto stream = packStream(idx, bits);
+                auto call = [&](std::size_t r0, std::size_t rows,
+                                const float *xs, std::size_t seq,
+                                float *sums) {
+                    tier->lutDot(stream.data(), stream.size(),
+                                 r0 * in * bits, bits, rows, in,
+                                 table.data(), k, xs, in, seq, sums);
+                };
+                std::vector<float> one(max_rows * max_seq);
+                for (std::size_t r = 0; r < max_rows; ++r)
+                    for (std::size_t s = 0; s < max_seq; ++s) {
+                        float &v = one[r * max_seq + s];
+                        call(r, 1, x.data() + s * in, 1, &v);
+                        ASSERT_EQ(v, contractSum(idx.data() + r * in, in,
+                                                 table.data(),
+                                                 x.data() + s * in))
+                            << "k=" << k << " bits=" << bits << " r=" << r
+                            << " s=" << s;
+                    }
+                for (std::size_t rows = 1; rows <= max_rows; ++rows)
+                    for (std::size_t seq = 1; seq <= max_seq; ++seq) {
+                        if (seq > 17 && seq < 31)
+                            continue;
+                        std::vector<float> sums(rows * seq);
+                        call(0, rows, x.data(), seq, sums.data());
+                        for (std::size_t r = 0; r < rows; ++r)
+                            for (std::size_t s = 0; s < seq; ++s)
+                                ASSERT_EQ(sums[r * seq + s],
+                                          one[r * max_seq + s])
+                                    << "k=" << k << " bits=" << bits
+                                    << " rows=" << rows << " seq=" << seq
+                                    << " r=" << r << " s=" << s;
+                    }
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
 // Packed-row decode: integer-exact on every tier, for every B,
-// unaligned bit offsets, and lengths bracketing the 64-index bulk
-// group of the avx512 VBMI path. Short buffers (no slack past the
-// last packed byte) exercise the bulk loop's load guard.
+// unaligned bit offsets, and lengths around the 16-index group. Short
+// buffers (no slack past the last packed byte) exercise the expander's
+// load guard.
 
 TEST(DecodeRow, MatchesBitstreamReferenceEveryTier)
 {
@@ -947,15 +964,17 @@ TEST(NanInf, PropagatesThroughEveryKernel)
             x[0 * in + 2] = kNan; // token 0
             x[1 * in + 3] = kInf; // token 1, centroid 0.5 at i = 3
             float sums[3];
-            kn.lutDot(idx.data(), 1, in, table.data(), k, x.data(), in, 3,
-                      sums);
+            auto stream = packStream(idx, 2);
+            kn.lutDot(stream.data(), stream.size(), 0, 2, 1, in,
+                      table.data(), k, x.data(), in, 3, sums);
             EXPECT_TRUE(std::isnan(sums[0]));
             EXPECT_EQ(sums[1], kInf);
             EXPECT_TRUE(std::isfinite(sums[2]));
             idx[in - 1] = 0; // the Inf centroid, against x = 0
             x[2 * in + in - 1] = 0.0f;
-            kn.lutDot(idx.data(), 1, in, table.data(), k, x.data(), in, 3,
-                      sums);
+            stream = packStream(idx, 2);
+            kn.lutDot(stream.data(), stream.size(), 0, 2, 1, in,
+                      table.data(), k, x.data(), in, 3, sums);
             EXPECT_TRUE(std::isnan(sums[2]));
         }
     }

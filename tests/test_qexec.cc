@@ -251,8 +251,9 @@ TEST(QuantizedBertModelTest, MixedPrecisionBitsRespected)
 
 TEST(QuantizedBertModelTest, HoldsOnlyFp32ResidentParameters)
 {
-    // FC weights live only in the packed layers; every other parameter
-    // is the source's, and a quantized embedding is its decode.
+    // FC weights and biases live only in the packed layers; every
+    // other parameter is the source's, and a quantized embedding is
+    // its decode.
     auto cfg = miniConfig(ModelFamily::DistilBert);
     BertModel model = generateModel(cfg, 433);
     model.resizeHead(2);
@@ -266,16 +267,23 @@ TEST(QuantizedBertModelTest, HoldsOnlyFp32ResidentParameters)
         auto src = model.parameters();
         auto got = held.parameters();
         ASSERT_EQ(got.size(), src.size());
+        std::size_t fc_bias_params = 0;
         for (std::size_t p = 0; p < src.size(); ++p) {
-            if (src[p].fcWeight) {
+            // parameters() lists each FC weight right before its bias.
+            const bool fc_bias = p > 0 && src[p - 1].fcWeight;
+            if (fc_bias)
+                fc_bias_params += src[p].tensor->size();
+            if (src[p].fcWeight || fc_bias) {
                 EXPECT_EQ(got[p].tensor->size(), 0u) << src[p].name;
             } else if (p > 0 || emb_bits == 0) {
                 EXPECT_EQ(got[p].tensor->data(), src[p].tensor->data())
                     << src[p].name;
             }
         }
-        EXPECT_EQ(held.parameterCount(),
-                  model.parameterCount() - cfg.fcWeightParams());
+        EXPECT_GT(fc_bias_params, 0u);
+        EXPECT_EQ(held.parameterCount(), model.parameterCount()
+                                             - cfg.fcWeightParams()
+                                             - fc_bias_params);
         if (emb_bits > 0) {
             BertModel decoded = model;
             quantizeModelInPlace(decoded, options);
@@ -332,6 +340,42 @@ TEST(QuantizedBertModelTest, CopyAndMoveOutliveTheSource)
     EXPECT_TRUE(same_bits(copy.classify(ctx, ids)));
     EXPECT_TRUE(same_bits(moved.classify(ctx, ids)));
     EXPECT_TRUE(same_bits(moved.classify(ids)));
+}
+
+TEST(QuantizedBertModelTest, CopiedAndMovedLayersHoldTheirBias)
+{
+    // Each FC bias moves from the FP32-resident parameters into its
+    // QuantizedLinear and must travel with copies and moves: a zero
+    // input row gives exactly the bias back.
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    BertModel model = generateModel(cfg, 435);
+    std::vector<const Tensor *> biases;
+    auto params = model.parameters();
+    for (std::size_t p = 0; p + 1 < params.size(); ++p)
+        if (params[p].fcWeight)
+            biases.push_back(params[p + 1].tensor);
+    ModelQuantOptions options;
+    options.base.bits = 3;
+    std::optional<QuantizedBertModel> source;
+    source.emplace(model, options);
+    QuantizedBertModel copy = *source;
+    QuantizedBertModel moved = std::move(*source);
+    source.reset();
+
+    for (const QuantizedBertModel *m : {&copy, &moved}) {
+        std::size_t layer = 0;
+        m->forEachLayer([&](const QuantizedLinear &fc) {
+            ASSERT_LT(layer, biases.size());
+            const Tensor &want = *biases[layer++];
+            Tensor y = fc.forward(Tensor(1, fc.compressed().cols));
+            ASSERT_EQ(y.size(), want.size()) << fc.spanLabel();
+            EXPECT_EQ(std::memcmp(y.data().data(), want.data().data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << fc.spanLabel();
+        });
+        EXPECT_EQ(layer, biases.size());
+    }
 }
 
 } // namespace
