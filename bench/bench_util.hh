@@ -18,9 +18,9 @@
 
 #include "core/quantizer.hh"
 #include "exec/context.hh"
+#include "exec/threadpool.hh"
 #include "model/generate.hh"
 #include "task/task.hh"
-#include "util/parallel.hh"
 
 namespace gobo::bench {
 

@@ -5,10 +5,10 @@
 #include <span>
 
 #include "core/outliers.hh"
+#include "exec/threadpool.hh"
 #include "model/generate.hh"
 #include "util/bitstream.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 
 namespace gobo {
 
@@ -204,7 +204,7 @@ quantizeLayers(std::span<const LayerJob> jobs, std::size_t threads,
     std::atomic<std::size_t> next{0};
     std::size_t width = std::min(threads == 0 ? defaultThreads() : threads,
                                  jobs.size());
-    parallelFor(width, width, [&](std::size_t) {
+    ThreadPool::shared().run(width, width, [&](std::size_t) {
         for (std::size_t k = next++; k < order.size(); k = next++) {
             const LayerJob &job = jobs[order[k]];
             LayerQuantStats stats;

@@ -69,9 +69,10 @@ parseU64(std::string_view text)
     return v;
 }
 
-/** Strict full-string finite double parse (digits, '.', exponent). */
+} // namespace
+
 std::optional<double>
-parseDouble(std::string_view text)
+parseFiniteDouble(std::string_view text)
 {
     if (text.empty())
         return std::nullopt;
@@ -79,9 +80,10 @@ parseDouble(std::string_view text)
     // libstdc++'s older dialects; strtod with a bounded copy keeps the
     // same strictness (whole string or nothing).
     std::string buf(text);
-    // Reject leading signs/whitespace strtod would accept: a spec
-    // value is a plain non-negative number.
-    if (buf[0] != '.' && (buf[0] < '0' || buf[0] > '9'))
+    // Reject what strtod would accept beyond that grammar: leading
+    // signs or whitespace, "inf"/"nan", and hex floats ("0x1p3").
+    if ((buf[0] != '.' && (buf[0] < '0' || buf[0] > '9'))
+        || buf.find_first_not_of("0123456789.eE+-") != std::string::npos)
         return std::nullopt;
     char *end = nullptr;
     double v = std::strtod(buf.c_str(), &end);
@@ -90,8 +92,6 @@ parseDouble(std::string_view text)
         return std::nullopt;
     return v;
 }
-
-} // namespace
 
 std::optional<TraceSpec>
 parseTraceSpec(std::string_view text)
@@ -121,7 +121,7 @@ parseTraceSpec(std::string_view text)
                 return std::nullopt;
             spec.seed = *v;
         } else if (key == "rate") {
-            auto v = parseDouble(val);
+            auto v = parseFiniteDouble(val);
             if (!v || *v <= 0.0)
                 return std::nullopt;
             spec.ratePerSec = *v;
@@ -136,7 +136,7 @@ parseTraceSpec(std::string_view text)
             spec.minLen = static_cast<std::size_t>(*lo);
             spec.maxLen = static_cast<std::size_t>(*hi);
         } else if (key == "long") {
-            auto v = parseDouble(val);
+            auto v = parseFiniteDouble(val);
             if (!v || *v < 0.0 || *v > 1.0)
                 return std::nullopt;
             spec.longFraction = *v;
@@ -144,8 +144,8 @@ parseTraceSpec(std::string_view text)
             std::size_t x = val.find('x');
             if (x == std::string_view::npos)
                 return std::nullopt;
-            auto factor = parseDouble(val.substr(0, x));
-            auto duty = parseDouble(val.substr(x + 1));
+            auto factor = parseFiniteDouble(val.substr(0, x));
+            auto duty = parseFiniteDouble(val.substr(x + 1));
             if (!factor || *factor < 1.0 || !duty || *duty < 0.0
                 || *duty > 1.0)
                 return std::nullopt;

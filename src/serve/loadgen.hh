@@ -153,6 +153,14 @@ struct TraceSpec
  */
 std::optional<TraceSpec> parseTraceSpec(std::string_view text);
 
+/**
+ * Strict full-string finite double: a plain non-negative decimal
+ * (digits, '.', exponent) with no sign, whitespace, "inf"/"nan" or
+ * trailing junk. The grammar of every fractional trace-spec value;
+ * the CLI's numeric flags use it too.
+ */
+std::optional<double> parseFiniteDouble(std::string_view text);
+
 /** Canonical spec string (parses back to the same spec); stamped into
  * the serve reports so a reader knows which scenario produced them. */
 std::string traceSpecString(const TraceSpec &spec);

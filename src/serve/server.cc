@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "kernels/kernels.hh"
+#include "obs/metrics.hh"
 #include "obs/observer.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
@@ -48,21 +49,17 @@ ServeServer::ServeServer(const InferenceSession &session,
     fatalIf(opt.tileLanes == 0, "serve: tileLanes must be positive");
     fatalIf(opt.bandWidth == 0, "serve: bandWidth must be positive");
     fatalIf(opt.maxQueue == 0, "serve: maxQueue must be positive");
-    fatalIf(opt.serviceTokensPerSec <= 0.0,
-            "serve: serviceTokensPerSec must be positive");
+    fatalIf(!std::isfinite(opt.serviceTokensPerSec)
+                || opt.serviceTokensPerSec <= 0.0,
+            "serve: serviceTokensPerSec must be finite and positive");
 }
 
 ServeRun
 ServeServer::runTrace(const std::vector<TraceRequest> &trace)
 {
-    // Metric handles. The registry is per-run state conceptually, but
-    // interning is idempotent so reusing the server just accumulates.
-    CounterId cAdmitted = registry.counter("serve.admitted");
-    CounterId cShedOverload = registry.counter("serve.shed_overload");
-    CounterId cShedDeadline = registry.counter("serve.shed_deadline");
-    CounterId cBatches = registry.counter("serve.batches");
-    CounterId cLanesFilled = registry.counter("serve.lanes_filled");
-    CounterId cLanesTotal = registry.counter("serve.lanes_total");
+    // Per-run histograms: the summary quantiles come from these alone,
+    // so a reused server never mixes in an earlier run's samples.
+    MetricsRegistry registry;
     HistogramId hLatency = registry.histogram(
         "serve.request_latency_us", latencyBoundsUs());
     HistogramId hQueueWait =
@@ -92,17 +89,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
     std::deque<std::pair<std::uint64_t, std::uint64_t>> completions;
     std::uint64_t inSystem = 0;
     std::uint64_t serverFreeAtUs = 0;
-
-    // Timeline + flight recorder. Both consume only virtual-time
-    // lifecycle events, so everything they produce inherits the
-    // determinism of the queue dynamics. Neither feeds back into any
-    // scheduling or shed decision — responses are bit-identical with
-    // the recorder on or off (pinned in tests/test_timeline.cc).
-    TimelineBuilder timeline(
-        {opt.timelineWindowUs, opt.timelineMaxWindows});
-    FlightRecorder recorder(opt.recorderCapacity,
-                            opt.recorderShedCapacity);
-    std::int64_t nextBatchId = 0;
+    std::uint64_t nextBatchId = 0;
 
     auto shed = [&](std::size_t idx, ServeStatus status,
                     std::uint64_t waitUs) {
@@ -113,39 +100,15 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         r.status = status;
         r.queueWaitUs = waitUs;
         r.latencyUs = waitUs;
-        // Admission happens at the arrival instant, so the shed
-        // instant is arrival + wait for both causes (overload sheds
-        // carry waitUs == 0).
-        std::uint64_t tUs = trace[idx].arrivalUs + waitUs;
-        RequestRecord rec;
-        rec.id = trace[idx].id;
-        rec.band = static_cast<std::uint32_t>(
-            (trace[idx].tokens.size() - 1) / opt.bandWidth);
-        rec.tokens =
-            static_cast<std::uint32_t>(trace[idx].tokens.size());
-        rec.arrivalUs = trace[idx].arrivalUs;
-        rec.queueWaitUs = waitUs;
         if (status == ServeStatus::ShedOverload) {
-            rec.shed = ShedCause::Overload;
-            timeline.shedOverload(tUs);
             ++sum.shedOverload;
-            registry.add(cShedOverload);
             Observer::count(obs, obs ? obs->serveShedOverload
                                      : CounterId{});
         } else {
-            // Deadline sheds were admitted and dropped at dispatch:
-            // their record keeps the admit instant and stamps the
-            // dispatch instant the drop happened at.
-            rec.shed = ShedCause::Deadline;
-            rec.admitUs = trace[idx].arrivalUs;
-            rec.dispatchUs = tUs;
-            timeline.shedDeadline(tUs);
             ++sum.shedDeadline;
-            registry.add(cShedDeadline);
             Observer::count(obs, obs ? obs->serveShedDeadline
                                      : CounterId{});
         }
-        recorder.record(rec);
     };
 
     auto flushBand = [&](std::size_t band, std::uint64_t nowUs) {
@@ -171,7 +134,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         }
         if (kept.empty())
             return;
-        std::int64_t batchId = nextBatchId++;
+        std::uint64_t batchId = nextBatchId++;
 
         // Real execution of the tile. Composition never changes the
         // math: headLogitsBatch is bit-identical to one-at-a-time
@@ -189,7 +152,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         std::vector<Tensor> logits;
         {
             ScopedSpan span(obs, "serve.batch");
-            span.arg("batch", static_cast<std::uint64_t>(batchId));
+            span.arg("batch", batchId);
             span.arg("requests", kept.size());
             logits = session.headLogitsBatch(batch, requestIds);
         }
@@ -207,20 +170,9 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         serverFreeAtUs = completionUs;
         completions.emplace_back(completionUs, kept.size());
 
-        // Completion events are emitted now, with future timestamps —
-        // the builder re-sorts by (timestamp, emission seq), and
-        // emission order already matches the server's same-instant
-        // tie-break (this tile's completions were emitted before any
-        // later tile's dispatch).
-        timeline.dispatch(batchStartUs, kept.size(), opt.tileLanes);
-        timeline.batchComplete(completionUs, tokens);
-
         ++sum.batches;
         sum.lanesFilled += kept.size();
         sum.lanesTotal += opt.tileLanes;
-        registry.add(cBatches);
-        registry.add(cLanesFilled, kept.size());
-        registry.add(cLanesTotal, opt.tileLanes);
         if (obs) {
             obs->metrics.add(obs->serveBatches);
             obs->metrics.add(obs->serveLanesFilled, kept.size());
@@ -242,20 +194,6 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
             r.logits = std::move(logits[i]);
             r.queueWaitUs = batchStartUs - p.admitUs;
             r.latencyUs = completionUs - p.admitUs;
-            timeline.complete(completionUs, r.queueWaitUs);
-            RequestRecord rec;
-            rec.id = r.id;
-            rec.band = static_cast<std::uint32_t>(band);
-            rec.lane = static_cast<std::uint32_t>(i);
-            rec.batchId = batchId;
-            rec.tokens = static_cast<std::uint32_t>(
-                trace[p.idx].tokens.size());
-            rec.arrivalUs = p.admitUs;
-            rec.admitUs = p.admitUs;
-            rec.dispatchUs = batchStartUs;
-            rec.completeUs = completionUs;
-            rec.queueWaitUs = r.queueWaitUs;
-            recorder.record(rec);
             ++sum.completed;
             registry.observe(hLatency,
                              static_cast<double>(r.latencyUs));
@@ -310,7 +248,6 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         fatalIf(req.tokens.empty(), "serve: request ", req.id,
                 " has no tokens");
         advance(req.arrivalUs);
-        timeline.arrival(req.arrivalUs);
 
         ScopedSpan span(obs, "serve.admit");
         span.arg("request", req.id);
@@ -321,9 +258,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
             shed(i, ServeStatus::ShedOverload, 0);
             continue;
         }
-        registry.add(cAdmitted);
         Observer::count(obs, obs ? obs->serveAdmitted : CounterId{});
-        timeline.admit(req.arrivalUs);
         std::size_t band = (req.tokens.size() - 1) / opt.bandWidth;
         auto &queue = bands[band];
         queue.push_back({i, req.arrivalUs});
@@ -380,10 +315,6 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
     for (const ServeResponse &r : run.responses)
         checksum = foldResponseChecksum(checksum, r);
     sum.responseChecksum = checksum;
-
-    sum.timeline = timeline.build();
-    run.flightRecords = recorder.tail();
-    run.flightRecorded = recorder.recorded();
     return run;
 }
 
@@ -401,20 +332,9 @@ jnum(double v)
     return buf;
 }
 
-/** kNeverUs (lifecycle stage never happened) becomes JSON null. */
-std::string
-jstamp(std::uint64_t tUs)
-{
-    return tUs == kNeverUs ? "null" : std::to_string(tUs);
-}
-
-/**
- * The admission-options object, shared by writeServeJson and
- * writeTimelineJson. One writer on purpose: every knob that shapes the
- * deterministic outcome — including the timeline window and recorder
- * capacities — appears in both reports, so two reports can only be
- * compared when their options blocks agree.
- */
+/** The admission-options object: every knob that shapes the
+ * deterministic outcome, so two reports can only be compared when their
+ * options blocks agree. */
 void
 writeOptionsJson(const ServeOptions &opt, std::ostream &os)
 {
@@ -425,22 +345,7 @@ writeOptionsJson(const ServeOptions &opt, std::ostream &os)
        << ", \"band_width\": " << opt.bandWidth
        << ", \"service_tokens_per_sec\": "
        << jnum(opt.serviceTokensPerSec)
-       << ", \"batch_overhead_us\": " << opt.batchOverheadUs
-       << ", \"timeline_window_us\": " << opt.timelineWindowUs
-       << ", \"timeline_max_windows\": " << opt.timelineMaxWindows
-       << ", \"recorder_capacity\": " << opt.recorderCapacity
-       << ", \"recorder_shed_capacity\": " << opt.recorderShedCapacity
-       << "}";
-}
-
-/** The environment stamp both report formats open with. */
-void
-writeMetaJson(const ServeReportMeta &meta, std::ostream &os)
-{
-    os << "  \"trace\": \"" << meta.trace << "\",\n";
-    os << "  \"kernel_tier\": \"" << meta.kernelTier << "\",\n";
-    os << "  \"threads\": " << meta.threads << ",\n";
-    os << "  \"engine\": \"" << meta.engine << "\",\n";
+       << ", \"batch_overhead_us\": " << opt.batchOverheadUs << "}";
 }
 
 } // namespace
@@ -453,7 +358,10 @@ writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
     std::snprintf(hex, sizeof hex, "0x%016llx",
                   static_cast<unsigned long long>(sum.responseChecksum));
     os << "{\n";
-    writeMetaJson(meta, os);
+    os << "  \"trace\": \"" << meta.trace << "\",\n";
+    os << "  \"kernel_tier\": \"" << meta.kernelTier << "\",\n";
+    os << "  \"threads\": " << meta.threads << ",\n";
+    os << "  \"engine\": \"" << meta.engine << "\",\n";
     os << "  \"options\": ";
     writeOptionsJson(opt, os);
     os << ",\n";
@@ -490,53 +398,7 @@ writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
     os << "  \"tokens_served\": " << sum.tokensServed << ",\n";
     os << "  \"wall_seconds\": " << jnum(sum.wallSeconds) << ",\n";
     os << "  \"tokens_per_sec\": " << jnum(sum.tokensPerSec) << ",\n";
-    // Deterministic like the counters above; the serve golden in
-    // tests/test_serve.cc pins every window.
-    os << "  \"timeline\": {\"window_us\": " << sum.timeline.windowUs
-       << ", \"clamped\": " << (sum.timeline.clamped ? "true" : "false")
-       << ", \"windows\": ";
-    writeTimelineWindows(sum.timeline, os, 4);
-    os << "},\n";
     os << "  \"response_checksum\": \"" << hex << "\"\n";
-    os << "}\n";
-}
-
-void
-writeTimelineJson(const ServeRun &run, const ServeOptions &opt,
-                  const ServeReportMeta &meta, std::ostream &os)
-{
-    const ServeSummary &sum = run.summary;
-    os << "{\n";
-    os << "  \"format\": \"gobo-timeline-v1\",\n";
-    writeMetaJson(meta, os);
-    os << "  \"options\": ";
-    writeOptionsJson(opt, os);
-    os << ",\n";
-    os << "  \"window_us\": " << sum.timeline.windowUs << ",\n";
-    os << "  \"clamped\": " << (sum.timeline.clamped ? "true" : "false")
-       << ",\n";
-    os << "  \"windows\": ";
-    writeTimelineWindows(sum.timeline, os, 2);
-    os << ",\n";
-    os << "  \"flight_recorder\": {\"recorded\": " << run.flightRecorded
-       << ", \"retained\": " << run.flightRecords.size()
-       << ", \"records\": [";
-    for (std::size_t i = 0; i < run.flightRecords.size(); ++i) {
-        const RequestRecord &r = run.flightRecords[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"id\": " << r.id
-           << ", \"band\": " << r.band << ", \"lane\": "
-           << (r.lane == UINT32_MAX ? "null" : std::to_string(r.lane))
-           << ", \"batch\": "
-           << (r.batchId < 0 ? "null" : std::to_string(r.batchId))
-           << ", \"tokens\": " << r.tokens
-           << ", \"shed\": \"" << shedCauseName(r.shed) << "\""
-           << ", \"arrival_us\": " << r.arrivalUs
-           << ", \"admit_us\": " << jstamp(r.admitUs)
-           << ", \"dispatch_us\": " << jstamp(r.dispatchUs)
-           << ", \"complete_us\": " << jstamp(r.completeUs)
-           << ", \"queue_wait_us\": " << r.queueWaitUs << "}";
-    }
-    os << "]}\n";
     os << "}\n";
 }
 

@@ -28,9 +28,9 @@
  * is bit-identical to one-at-a-time calls by the session contract —
  * and tests/test_serve.cc pins that.
  *
- * SLO tracking runs through the obs layer: the server owns a
- * MetricsRegistry (latency/queue-wait/exec histograms, always on) and
- * mirrors counters and the serve.admit / serve.batch / serve.shed
+ * SLO tracking runs through the obs layer: each run fills its own
+ * latency/queue-wait/exec histograms, which set the summary quantiles,
+ * and mirrors counters and the serve.admit / serve.batch / serve.shed
  * span taxonomy onto an attached Observer.
  */
 
@@ -43,8 +43,6 @@
 #include <vector>
 
 #include "exec/session.hh"
-#include "obs/metrics.hh"
-#include "obs/timeline.hh"
 #include "serve/loadgen.hh"
 #include "tensor/tensor.hh"
 
@@ -96,17 +94,9 @@ struct ServeOptions
     double serviceTokensPerSec = 4000.0;
     /** Virtual fixed cost per dispatched tile. */
     std::uint64_t batchOverheadUs = 200;
-    /** Width of one timeline window (virtual µs) in the per-run
-     * windowed series (ServeSummary::timeline). */
-    std::uint64_t timelineWindowUs = 1000000;
-    /** Timeline windows cap; the tail folds into the last window. */
-    std::size_t timelineMaxWindows = 4096;
-    /** Flight-recorder tail ring: last N terminal request records kept
-     * for postmortems. 0 disables the recorder entirely. */
-    std::size_t recorderCapacity = 256;
-    /** Flight-recorder shed ring: shed records additionally pinned
-     * here so they survive being rolled out of the tail. */
-    std::size_t recorderShedCapacity = 256;
+    /** Unused: nothing reads it. Kept only so existing callers that
+     * assign it still compile; remove with them. */
+    std::size_t recorderCapacity = 0;
     /** Span/counter sink; null disables the serve.* span taxonomy. */
     Observer *obs = nullptr;
 };
@@ -157,11 +147,6 @@ struct ServeSummary
      * across tiers even for quantized engines. The golden therefore
      * pins the generic tier. */
     std::uint64_t responseChecksum = 0;
-
-    /** Windowed virtual-time series (obs/timeline.hh): deterministic
-     * for fixed (trace, options), exactly gateable like the counters
-     * above. Window width comes from ServeOptions::timelineWindowUs. */
-    TimelineSeries timeline;
 };
 
 /** Everything runTrace() produces. */
@@ -170,13 +155,6 @@ struct ServeRun
     /** One response per trace request, indexed by request id. */
     std::vector<ServeResponse> responses;
     ServeSummary summary;
-    /** Flight-recorder tail: the last recorderCapacity terminal
-     * request records plus pinned shed records, sorted by id. Empty
-     * when recorderCapacity == 0. */
-    std::vector<RequestRecord> flightRecords;
-    /** Lifecycle records ever handed to the recorder (>= the tail's
-     * size once the rings wrap). */
-    std::uint64_t flightRecorded = 0;
 };
 
 /**
@@ -188,20 +166,20 @@ struct ServeRun
 class ServeServer
 {
   public:
-    /** `session` must outlive the server. */
+    /** `session` must outlive the server. Fatal on a tile width, band
+     * width or queue bound of 0, or a service rate that is not finite
+     * and positive. */
     ServeServer(const InferenceSession &session, ServeOptions options);
 
     /**
      * Run a trace to completion: admit every request in arrival order,
      * flush deadline-expired tiles as virtual time advances, and drain
      * every queued request at the end — shutdown loses nothing, and
-     * each request id gets exactly one response.
+     * each request id gets exactly one response. Runs share no state:
+     * the same trace gives the same summary on a fresh or a reused
+     * server.
      */
     ServeRun runTrace(const std::vector<TraceRequest> &trace);
-
-    /** The per-run metrics registry (latency/queue-wait/exec
-     * histograms plus serve.* counters); valid after runTrace. */
-    const MetricsRegistry &metrics() const { return registry; }
 
     /** The options the server actually runs under — defaults resolved
      * (tileLanes = the kernel tier's seqTile). Pass *these* to the
@@ -213,7 +191,6 @@ class ServeServer
   private:
     const InferenceSession &session;
     ServeOptions opt;
-    MetricsRegistry registry;
 };
 
 /** Fold one response into a running checksum (see
@@ -240,17 +217,6 @@ struct ServeReportMeta
  */
 void writeServeJson(const ServeSummary &sum, const ServeOptions &opt,
                     const ServeReportMeta &meta, std::ostream &os);
-
-/**
- * Write the standalone gobo-timeline-v1 document (`gobo serve
- * --timeline-out`): format marker, the same environment/options stamp
- * as writeServeJson, the windowed series, and the flight-recorder
- * tail. Window objects are byte-identical to the serve report's
- * `timeline` block (both go through writeTimelineWindows). Lifecycle
- * timestamps that never happened (kNeverUs) are emitted as null.
- */
-void writeTimelineJson(const ServeRun &run, const ServeOptions &opt,
-                       const ServeReportMeta &meta, std::ostream &os);
 
 } // namespace gobo
 

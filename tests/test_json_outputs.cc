@@ -2,7 +2,7 @@
  * @file
  * One parameterized strict-JSON gate over every machine-readable
  * document the repo writes: the serve report (`gobo serve --json`), the
- * standalone gobo-timeline-v1 document, the gobo-audit-v2 report
+ * gobo-audit-v2 report
  * (with and without the pmu pillar), and the --metrics-json snapshot.
  * Each case renders a document through the *real* writer — synthetic
  * inputs where the structs are plain data, a miniature end-to-end run
@@ -46,8 +46,8 @@ testModel()
     return model;
 }
 
-/** One near-saturation serve run shared by the serve/timeline cases
- * (sheds + deadline drops populate every nullable field once). */
+/** One near-saturation serve run (sheds + deadline drops populate
+ * every nullable field once). */
 const ServeRun &
 serveRun()
 {
@@ -65,7 +65,6 @@ serveRun()
         ServeOptions opt;
         opt.maxQueue = 8;
         opt.requestDeadlineUs = 30000;
-        opt.timelineWindowUs = 50000;
         ServeServer server(session, opt);
         return server.runTrace(trace);
     }();
@@ -78,7 +77,6 @@ serveOptions()
     ServeOptions opt;
     opt.maxQueue = 8;
     opt.requestDeadlineUs = 30000;
-    opt.timelineWindowUs = 50000;
     return opt;
 }
 
@@ -98,14 +96,6 @@ renderServe()
 {
     std::ostringstream os;
     writeServeJson(serveRun().summary, serveOptions(), serveMeta(), os);
-    return os.str();
-}
-
-std::string
-renderTimeline()
-{
-    std::ostringstream os;
-    writeTimelineJson(serveRun(), serveOptions(), serveMeta(), os);
     return os.str();
 }
 
@@ -168,7 +158,6 @@ struct WriterCase
 
 const WriterCase kCases[] = {
     {"serve", renderServe},
-    {"timeline", renderTimeline},
     {"audit", renderAudit},
     {"audit_pmu", renderAuditWithPmu},
     {"metrics", renderMetrics},

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the parallel-for helper and the determinism guarantee of
+ * Tests for the shared pool's width-capped run(), the call the
+ * layer-parallel quantizer makes, and the determinism guarantee of
  * multi-threaded model quantization.
  */
 
@@ -11,8 +12,8 @@
 #include <vector>
 
 #include "core/quantizer.hh"
+#include "exec/threadpool.hh"
 #include "model/generate.hh"
-#include "util/parallel.hh"
 
 namespace gobo {
 namespace {
@@ -22,7 +23,8 @@ TEST(ParallelFor, CoversEveryIndexOnce)
     std::vector<std::atomic<int>> hits(257);
     for (auto &h : hits)
         h = 0;
-    parallelFor(hits.size(), 8, [&](std::size_t i) { ++hits[i]; });
+    ThreadPool::shared().run(hits.size(), 8,
+                             [&](std::size_t i) { ++hits[i]; });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -30,7 +32,7 @@ TEST(ParallelFor, CoversEveryIndexOnce)
 TEST(ParallelFor, InlineWhenSingleThreaded)
 {
     std::vector<int> order;
-    parallelFor(5, 1, [&](std::size_t i) {
+    ThreadPool::shared().run(5, 1, [&](std::size_t i) {
         order.push_back(static_cast<int>(i));
     });
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -39,9 +41,9 @@ TEST(ParallelFor, InlineWhenSingleThreaded)
 TEST(ParallelFor, EmptyAndSingleRanges)
 {
     int calls = 0;
-    parallelFor(0, 4, [&](std::size_t) { ++calls; });
+    ThreadPool::shared().run(0, 4, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    parallelFor(1, 4, [&](std::size_t) { ++calls; });
+    ThreadPool::shared().run(1, 4, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 1);
 }
 

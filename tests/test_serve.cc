@@ -4,7 +4,8 @@
  * and spec grammar, batch-forming bit-identity against one-at-a-time
  * serial replay, queue drain on shutdown (every request answered
  * exactly once), explicit overload/deadline shedding, tile occupancy
- * accounting, and checksum stability across backends — the
+ * accounting with summary counts that reconcile with the responses,
+ * identical runs across backends and on a reused server — the
  * properties that make a 100k-request soak a replayable CI scenario.
  */
 
@@ -23,6 +24,7 @@
 #include "model/generate.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace gobo {
@@ -106,6 +108,7 @@ TEST(Loadgen, SpecGrammarRejectsMalformedInput)
         "n=5,n",       // key with no value
         "rate=0",      // non-positive rate
         "rate=-3",     // sign
+        "rate=0x10",   // hex float
         "len=0:8",     // zero min
         "len=9:8",     // min > max
         "len=8",       // missing colon
@@ -191,18 +194,56 @@ TEST(Serve, DrainAnswersEveryRequestExactlyOnce)
     ServeRun run = server.runTrace(trace);
     const ServeSummary &sum = run.summary;
 
-    // One response per request id, none lost, none duplicated.
+    EXPECT_GT(sum.shedOverload, 0u);
+    EXPECT_GT(sum.shedDeadline, 0u);
+
+    // One response per request id, none lost, none duplicated, and
+    // each response's timing fits its status.
     ASSERT_EQ(run.responses.size(), trace.size());
+    std::uint64_t ok = 0, overload = 0, deadline = 0, tokens = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(run.responses[i].id, trace[i].id);
-        if (run.responses[i].status == ServeStatus::Ok)
-            EXPECT_GT(run.responses[i].logits.size(), 0u);
-        else
-            EXPECT_EQ(run.responses[i].logits.size(), 0u);
+        const ServeResponse &r = run.responses[i];
+        EXPECT_EQ(r.id, trace[i].id);
+        EXPECT_EQ(r.logits.size() > 0, r.status == ServeStatus::Ok) << i;
+        switch (r.status) {
+          case ServeStatus::Ok:
+            // Waited, then held the server for its tile.
+            ++ok;
+            tokens += trace[i].tokens.size();
+            EXPECT_GT(r.latencyUs, r.queueWaitUs) << i;
+            break;
+          case ServeStatus::ShedOverload:
+            // Rejected on arrival: never queued.
+            ++overload;
+            EXPECT_EQ(r.queueWaitUs, 0u) << i;
+            EXPECT_EQ(r.latencyUs, 0u) << i;
+            break;
+          case ServeStatus::ShedDeadline:
+            // Dropped at dispatch, after its wait blew the deadline.
+            ++deadline;
+            EXPECT_GT(r.queueWaitUs, opt.requestDeadlineUs) << i;
+            EXPECT_EQ(r.latencyUs, r.queueWaitUs) << i;
+            break;
+        }
     }
+    EXPECT_EQ(sum.requests, trace.size());
     EXPECT_EQ(sum.completed + sum.shedOverload + sum.shedDeadline,
               sum.requests);
-    EXPECT_EQ(sum.requests, trace.size());
+
+    // The summary counts are the responses counted.
+    EXPECT_EQ(ok, sum.completed);
+    EXPECT_EQ(overload, sum.shedOverload);
+    EXPECT_EQ(deadline, sum.shedDeadline);
+    EXPECT_EQ(tokens, sum.tokensServed);
+    EXPECT_EQ(sum.lanesFilled, sum.completed);
+    EXPECT_EQ(sum.lanesTotal, sum.batches * server.options().tileLanes);
+    std::uint64_t bandRequests = 0, bandBatches = 0;
+    for (const ServeBandStats &b : sum.bands) {
+        bandRequests += b.requests;
+        bandBatches += b.batches;
+    }
+    EXPECT_EQ(bandRequests, sum.completed);
+    EXPECT_EQ(bandBatches, sum.batches);
 }
 
 TEST(Serve, OverloadAndDeadlineShedExplicitlyAndDeterministically)
@@ -268,40 +309,85 @@ TEST(Serve, TileOccupancyAccountsFilledLanes)
 
 TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
 {
-    // Serial vs parallel. (The name predates the single weight format.)
-    auto spec = stressSpec();
-    spec.requests = 64;
-    auto trace = generateTrace(spec, testModel().config().vocabSize);
+    // Serial vs parallel on a run that sheds both ways: every response
+    // and every virtual-time outcome is a function of (trace, options)
+    // alone. (The name predates the single weight format.)
+    auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
     ServeOptions opt;
     opt.maxQueue = 8;
     opt.requestDeadlineUs = 30000;
+    InferenceSession serialSession = makeSession(false);
+    InferenceSession parallelSession = makeSession(true);
+    ServeRun a = ServeServer(serialSession, opt).runTrace(trace);
+    ServeRun b = ServeServer(parallelSession, opt).runTrace(trace);
 
-    std::uint64_t checksum = 0;
-    bool first = true;
-    for (bool parallel : {false, true}) {
-        InferenceSession session = makeSession(parallel);
-        ServeServer server(session, opt);
-        ServeRun run = server.runTrace(trace);
-        if (first) {
-            checksum = run.summary.responseChecksum;
-            first = false;
-        } else {
-            EXPECT_EQ(run.summary.responseChecksum, checksum)
-                << "parallel=" << parallel;
-        }
+    EXPECT_GT(a.summary.shedOverload, 0u);
+    EXPECT_GT(a.summary.shedDeadline, 0u);
+    EXPECT_NE(a.summary.responseChecksum, 0u);
+    EXPECT_EQ(a.summary.responseChecksum, b.summary.responseChecksum);
+    EXPECT_EQ(a.summary.shedOverload, b.summary.shedOverload);
+    EXPECT_EQ(a.summary.shedDeadline, b.summary.shedDeadline);
+    EXPECT_EQ(a.summary.batches, b.summary.batches);
+    EXPECT_EQ(a.summary.lanesTotal, b.summary.lanesTotal);
+    EXPECT_EQ(a.summary.tokensServed, b.summary.tokensServed);
+    EXPECT_EQ(a.summary.latencyP99Us, b.summary.latencyP99Us);
+    EXPECT_EQ(a.summary.queueWaitP99Us, b.summary.queueWaitP99Us);
+    ASSERT_EQ(a.responses.size(), b.responses.size());
+    for (std::size_t i = 0; i < a.responses.size(); ++i) {
+        EXPECT_EQ(a.responses[i].status, b.responses[i].status) << i;
+        EXPECT_EQ(a.responses[i].queueWaitUs, b.responses[i].queueWaitUs)
+            << i;
+        EXPECT_EQ(a.responses[i].latencyUs, b.responses[i].latencyUs)
+            << i;
     }
-    EXPECT_NE(checksum, 0u);
 }
 
-/** One timeline window of the committed serve golden: counts are
- * exact, the rates/quantiles are gated at 1e-6 relative. */
-struct GoldenWindow
+TEST(Serve, ReusedServerMatchesFreshServer)
 {
-    std::uint64_t arrivals, admitted, completed, shedOverload,
-        shedDeadline, batches, lanesFilled, lanesTotal, tokens;
-    double tokensPerSec, meanQueueDepth, occupancy, queueWaitP50Us,
-        queueWaitP99Us;
-};
+    // A second trace on the same server must summarize exactly like a
+    // fresh server on that trace: no state carries over between runs.
+    auto heavy = parseTraceSpec("n=200,seed=3,rate=400,len=1:64,long=0.25");
+    auto light = parseTraceSpec("n=120,seed=9,rate=50,len=1:8");
+    ASSERT_TRUE(heavy && light);
+    std::size_t vocab = testModel().config().vocabSize;
+    auto first = generateTrace(*heavy, vocab);
+    auto second = generateTrace(*light, vocab);
+
+    InferenceSession session = makeSession(false);
+    ServeOptions opt;
+    opt.tileLanes = 8;
+    ServeServer reused(session, opt);
+    reused.runTrace(first);
+    const ServeSummary again = reused.runTrace(second).summary;
+    ServeServer fresh(session, opt);
+    const ServeSummary want = fresh.runTrace(second).summary;
+
+    EXPECT_EQ(again.requests, want.requests);
+    EXPECT_EQ(again.completed, want.completed);
+    EXPECT_EQ(again.batches, want.batches);
+    EXPECT_EQ(again.latencyP50Us, want.latencyP50Us);
+    EXPECT_EQ(again.latencyP95Us, want.latencyP95Us);
+    EXPECT_EQ(again.latencyP99Us, want.latencyP99Us);
+    EXPECT_EQ(again.queueWaitP50Us, want.queueWaitP50Us);
+    EXPECT_EQ(again.queueWaitP95Us, want.queueWaitP95Us);
+    EXPECT_EQ(again.queueWaitP99Us, want.queueWaitP99Us);
+    EXPECT_EQ(again.responseChecksum, want.responseChecksum);
+    // The exec quantiles come from the same per-run registry, but they
+    // are wall-clock times, so no two runs can be compared exactly.
+    EXPECT_GT(again.execP50Us, 0.0);
+}
+
+TEST(Serve, RejectsNonFiniteServiceRate)
+{
+    // NaN passes a `<= 0` check and casts to garbage service times;
+    // inf makes every tile free. Both must fail at construction.
+    InferenceSession session = makeSession(false);
+    for (double rate : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0}) {
+        ServeOptions opt;
+        opt.serviceTokensPerSec = rate;
+        EXPECT_THROW(ServeServer(session, opt), FatalError) << rate;
+    }
+}
 
 void
 expectRel(double got, double want, const char *what)
@@ -372,54 +458,6 @@ TEST(Serve, GoldenTraceMatchesCommittedBaseline)
     expectRel(sum.queueWaitP50Us, 109671.922, "queue wait p50");
     expectRel(sum.queueWaitP95Us, 152452.8789, "queue wait p95");
     expectRel(sum.queueWaitP99Us, 157282.0312, "queue wait p99");
-
-    const GoldenWindow windows[] = {
-        {221, 172, 145, 49, 4, 71, 149, 568, 3819, 3819, 20.205524,
-         0.2623239437, 107508.8369, 157211.8779},
-        {239, 171, 173, 68, 11, 83, 170, 664, 3962, 3962, 21.272903,
-         0.2560240964, 110471.2483, 157263.3969},
-        {235, 175, 152, 60, 17, 73, 152, 584, 3945, 3945, 22.565174,
-         0.2602739726, 113981.9722, 157554.4683},
-        {215, 170, 158, 45, 14, 78, 159, 624, 3920, 3920, 21.596272,
-         0.2548076923, 111143.6253, 156974.5278},
-        {232, 175, 159, 57, 5, 79, 160, 632, 3896, 3896, 21.389653,
-         0.253164557, 108029.9653, 156416.1642},
-        {198, 171, 174, 27, 7, 80, 173, 640, 3925, 3925, 18.176959,
-         0.2703125, 90321.32869, 156126.0528},
-        {245, 174, 145, 71, 19, 73, 144, 584, 3959, 3959, 24.108218,
-         0.2465753425, 122284.5641, 157750.7985},
-        {239, 179, 176, 60, 8, 83, 178, 664, 3964, 3964, 19.730345,
-         0.2680722892, 99336.54269, 156850.167},
-        {176, 130, 118, 46, 32, 56, 115, 448, 3283, 3283, 20.266193,
-         0.2566964286, 126435.8208, 157848.2493},
-    };
-    EXPECT_EQ(sum.timeline.windowUs, 1000000u);
-    EXPECT_FALSE(sum.timeline.clamped);
-    ASSERT_EQ(sum.timeline.windows.size(), std::size(windows));
-    for (std::size_t i = 0; i < std::size(windows); ++i) {
-        SCOPED_TRACE("window " + std::to_string(i));
-        const TimelineWindow &got = sum.timeline.windows[i];
-        const GoldenWindow &want = windows[i];
-        EXPECT_EQ(got.index, i);
-        EXPECT_EQ(got.startUs, i * 1000000u);
-        EXPECT_EQ(got.arrivals, want.arrivals);
-        EXPECT_EQ(got.admitted, want.admitted);
-        EXPECT_EQ(got.completed, want.completed);
-        EXPECT_EQ(got.shedOverload, want.shedOverload);
-        EXPECT_EQ(got.shedDeadline, want.shedDeadline);
-        EXPECT_EQ(got.batches, want.batches);
-        EXPECT_EQ(got.lanesFilled, want.lanesFilled);
-        EXPECT_EQ(got.lanesTotal, want.lanesTotal);
-        EXPECT_EQ(got.tokens, want.tokens);
-        expectRel(got.tokensPerSec, want.tokensPerSec, "tokens/s");
-        expectRel(got.meanQueueDepth, want.meanQueueDepth,
-                  "mean queue depth");
-        expectRel(got.occupancy, want.occupancy, "occupancy");
-        expectRel(got.queueWaitP50Us, want.queueWaitP50Us,
-                  "queue wait p50");
-        expectRel(got.queueWaitP99Us, want.queueWaitP99Us,
-                  "queue wait p99");
-    }
 
     EXPECT_EQ(sum.responseChecksum, 0xe20da9a2962f43cfULL);
 }

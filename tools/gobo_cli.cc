@@ -22,13 +22,8 @@
  *                  [--engine fp32|qexec] [--max-queue N]
  *                  [--flush-deadline-us N] [--deadline-us N]
  *                  [--band-width N] [--service-rate TOK/S]
- *                  [--window-us N] [--recorder-capacity N]
- *                  [--json OUT.json]
- *                  [--timeline-out OUT.json] [--metrics]
+ *                  [--json OUT.json] [--metrics]
  *                  [--metrics-json OUT.json] [--trace-out OUT.json]
- *   gobo top       model.gobm | model.gobc --trace SPEC
- *                  [same execution/admission flags as serve]
- *                  [--window-us N] [--timeline-out OUT.json]
  *   gobo kernels
  *
  * `generate` writes a synthetic FP32 checkpoint (see model/generate);
@@ -53,11 +48,7 @@
  * and reports completion/shed counts, tile occupancy, and virtual
  * p50/p95/p99 latency; see DESIGN.md §13. Note `infer --trace` writes
  * a Chrome trace, while `serve --trace` *consumes* a load spec —
- * serve's Chrome trace output flag is `--trace-out`. `serve
- * --timeline-out` writes the gobo-timeline-v1 document (windowed
- * virtual-time series + flight-recorder tail; DESIGN.md §14), and
- * `top` runs the same serve stack but renders that series as a
- * per-window console view instead of the run summary. `kernels`
+ * serve's Chrome trace output flag is `--trace-out`. `kernels`
  * probes the host: one line per SIMD tier (runnable or not, with its
  * sequence-tile width) plus the active tier — CI uses it to decide
  * which GOBO_KERNEL matrix cells the runner supports.
@@ -71,6 +62,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/container.hh"
 #include "core/qexec.hh"
@@ -85,7 +77,6 @@
 #include "obs/export.hh"
 #include "obs/observer.hh"
 #include "obs/pmu.hh"
-#include "obs/timeline.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
 #include "tensor/ops.hh"
@@ -127,13 +118,9 @@ usage(const char *msg = nullptr)
         "                 [--engine fp32|qexec] [--max-queue N]\n"
         "                 [--flush-deadline-us N] [--deadline-us N]\n"
         "                 [--band-width N] [--service-rate TOK/S]\n"
-        "                 [--window-us N] [--recorder-capacity N]\n"
-        "                 [--json OUT.json] [--timeline-out OUT.json]\n"
-        "                 [--metrics] [--metrics-json OUT.json]"
-        " [--trace-out OUT.json]\n"
-        "  gobo top       FILE --trace SPEC [serve flags]"
-        " [--window-us N]\n"
-        "                 [--timeline-out OUT.json]\n"
+        "                 [--json OUT.json] [--metrics]"
+        " [--metrics-json OUT.json]\n"
+        "                 [--trace-out OUT.json]\n"
         "  gobo kernels   (probe: one line per SIMD tier on this"
         " host)\n"
         "\nfamilies: bert-base bert-large distilbert roberta"
@@ -247,6 +234,26 @@ parseU64Flag(const Args &args, const std::string &key,
 }
 
 /**
+ * Strict finite flag value via parseFiniteDouble (the trace-spec
+ * grammar) plus an optional leading '-'. Like parseU64Flag, a
+ * malformed value ("4000abc", "nan", "inf") is a usage error, not a
+ * silently different run.
+ */
+double
+parseDoubleFlag(const Args &args, const std::string &key,
+                const std::string &fallback)
+{
+    std::string text = args.get(key, fallback);
+    bool negative = text.rfind('-', 0) == 0;
+    auto v = parseFiniteDouble(std::string_view(text).substr(negative));
+    if (!v)
+        usage(("--" + key + " wants a finite decimal number, got '" + text
+               + "'")
+                  .c_str());
+    return negative ? -*v : *v;
+}
+
+/**
  * True for a GOBC container, false for a GOBM FP32 model; fatal for
  * anything else. Magic words are written as little-endian u32, so the
  * bytes on disk read "CBOG" or "MBOG".
@@ -332,8 +339,8 @@ cmdCompress(const Args &args)
     options.embeddingBits =
         static_cast<unsigned>(parseU64Flag(args, "embedding-bits", "4"));
     options.base.method = parseMethod(args.get("method", "gobo"));
-    options.base.outlierThreshold = std::stod(
-        args.get("threshold", "-4"));
+    options.base.outlierThreshold =
+        parseDoubleFlag(args, "threshold", "-4");
     options.threads =
         static_cast<std::size_t>(parseU64Flag(args, "threads", "0"));
 
@@ -568,8 +575,8 @@ cmdAudit(const Args &args)
     opt.quant.embeddingBits =
         static_cast<unsigned>(parseU64Flag(args, "embedding-bits", "0"));
     opt.quant.base.method = parseMethod(args.get("method", "gobo"));
-    opt.quant.base.outlierThreshold = std::stod(
-        args.get("threshold", "-4"));
+    opt.quant.base.outlierThreshold =
+        parseDoubleFlag(args, "threshold", "-4");
     opt.sequences =
         static_cast<std::size_t>(parseU64Flag(args, "sequences", "4"));
     opt.seqLen =
@@ -610,16 +617,8 @@ cmdAudit(const Args &args)
     return 0;
 }
 
-/**
- * Shared front half of `gobo serve` and `gobo top`: parse the
- * execution-stack and admission flags, load the model, generate the
- * trace, run it. Fills `sopt` and `meta` for the caller's exports;
- * `obs` (nullable) is attached to both the execution context and the
- * serve options.
- */
-ServeRun
-runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
-              ServeReportMeta &meta)
+int
+cmdServe(const Args &args)
 {
     if (args.positional.empty())
         usage("serve needs a model file");
@@ -643,6 +642,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
                                    : activeKernels();
     ctx.kernels = &kernels;
 
+    ServeOptions sopt;
     sopt.maxQueue =
         static_cast<std::size_t>(parseU64Flag(args, "max-queue", "256"));
     sopt.flushDeadlineUs = parseU64Flag(args, "flush-deadline-us",
@@ -650,19 +650,20 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     sopt.requestDeadlineUs = parseU64Flag(args, "deadline-us", "0");
     sopt.bandWidth =
         static_cast<std::size_t>(parseU64Flag(args, "band-width", "16"));
-    sopt.serviceTokensPerSec = std::stod(
-        args.get("service-rate", "4000"));
+    sopt.serviceTokensPerSec =
+        parseDoubleFlag(args, "service-rate", "4000");
     if (sopt.serviceTokensPerSec <= 0.0)
         usage("--service-rate must be positive");
-    sopt.timelineWindowUs = parseU64Flag(args, "window-us", "1000000");
-    if (sopt.timelineWindowUs == 0)
-        usage("--window-us must be positive");
-    sopt.recorderCapacity = static_cast<std::size_t>(
-        parseU64Flag(args, "recorder-capacity", "256"));
-    sopt.recorderShedCapacity = sopt.recorderCapacity;
-    if (obs) {
-        ctx.obs = obs;
-        sopt.obs = obs;
+
+    std::string trace_out = args.get("trace-out", "");
+    std::string metrics_json_path = args.get("metrics-json", "");
+    bool show_metrics = args.has("metrics");
+    std::optional<Observer> observer;
+    if (!trace_out.empty() || show_metrics
+        || !metrics_json_path.empty()) {
+        observer.emplace();
+        ctx.obs = &*observer;
+        sopt.obs = &*observer;
     }
 
     std::string engine = args.get("engine", "qexec");
@@ -673,6 +674,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
 
     auto trace = generateTrace(*spec, cfg.vocabSize);
 
+    ServeReportMeta meta;
     meta.trace = traceSpecString(*spec);
     meta.kernelTier = kernels.name;
     meta.threads = ctx.threads;
@@ -684,29 +686,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
                 ctx.threads, kernels.name);
 
     ServeServer server(session, sopt);
-    // Hand the caller the options the server resolved (tileLanes
-    // defaults to the kernel tier's seqTile) so the JSON stamp
-    // records the real geometry.
-    sopt = server.options();
-    return server.runTrace(trace);
-}
-
-int
-cmdServe(const Args &args)
-{
-    std::string trace_out = args.get("trace-out", "");
-    std::string metrics_json_path = args.get("metrics-json", "");
-    bool show_metrics = args.has("metrics");
-    std::optional<Observer> observer;
-    if (!trace_out.empty() || show_metrics
-        || !metrics_json_path.empty())
-        observer.emplace();
-
-    ServeOptions sopt;
-    ServeReportMeta meta;
-    ServeRun run = runServeStack(args, observer ? &*observer : nullptr,
-                                 sopt, meta);
-    const ServeSummary &sum = run.summary;
+    const ServeSummary sum = server.runTrace(trace).summary;
 
     std::printf("\n%llu requests: %llu completed, %llu shed"
                 " (overload %llu, deadline %llu)\n",
@@ -742,27 +722,15 @@ cmdServe(const Args &args)
                 static_cast<unsigned long long>(sum.tokensServed));
     std::printf("response checksum 0x%016llx\n",
                 static_cast<unsigned long long>(sum.responseChecksum));
-    // The postmortem entry point: which windows shed, how hard, and
-    // how deep the queue was. No-op on a shed-free run.
-    std::puts("");
-    printWorstShedWindows(sum.timeline, 5, std::cout);
 
     std::string json_path = args.get("json", "");
     if (!json_path.empty()) {
         std::ofstream os(json_path, std::ios::binary);
         fatalIf(!os, "cannot write ", json_path);
-        writeServeJson(sum, sopt, meta, os);
+        // The server's options, not sopt: the stamp must record the
+        // resolved tile width (the kernel tier's seqTile by default).
+        writeServeJson(sum, server.options(), meta, os);
         std::printf("wrote serve JSON to %s\n", json_path.c_str());
-    }
-    std::string timeline_out = args.get("timeline-out", "");
-    if (!timeline_out.empty()) {
-        std::ofstream os(timeline_out, std::ios::binary);
-        fatalIf(!os, "cannot write ", timeline_out);
-        writeTimelineJson(run, sopt, meta, os);
-        std::printf("wrote timeline (%zu windows, %zu flight records)"
-                    " to %s\n",
-                    sum.timeline.windows.size(),
-                    run.flightRecords.size(), timeline_out.c_str());
     }
     if (!trace_out.empty()) {
         std::ofstream os(trace_out, std::ios::binary);
@@ -786,28 +754,6 @@ cmdServe(const Args &args)
             std::printf("wrote metrics JSON to %s\n",
                         metrics_json_path.c_str());
         }
-    }
-    return 0;
-}
-
-int
-cmdTop(const Args &args)
-{
-    ServeOptions sopt;
-    ServeReportMeta meta;
-    ServeRun run = runServeStack(args, nullptr, sopt, meta);
-
-    std::puts("");
-    printTimeline(run.summary.timeline, std::cout);
-    std::puts("");
-    printWorstShedWindows(run.summary.timeline, 5, std::cout);
-
-    std::string timeline_out = args.get("timeline-out", "");
-    if (!timeline_out.empty()) {
-        std::ofstream os(timeline_out, std::ios::binary);
-        fatalIf(!os, "cannot write ", timeline_out);
-        writeTimelineJson(run, sopt, meta, os);
-        std::printf("wrote timeline JSON to %s\n", timeline_out.c_str());
     }
     return 0;
 }
@@ -863,8 +809,6 @@ main(int argc, char **argv)
             return cmdAudit(args);
         if (cmd == "serve")
             return cmdServe(args);
-        if (cmd == "top")
-            return cmdTop(args);
         if (cmd == "kernels")
             return cmdKernels(args);
         usage(("unknown command: " + cmd).c_str());
@@ -872,7 +816,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
     } catch (const std::exception &e) {
-        // Malformed numeric flags (std::stoul and friends) land here.
+        // Anything else a command throws, e.g. a std::filesystem error.
         std::fprintf(stderr, "error: bad argument (%s)\n", e.what());
         return 2;
     }
