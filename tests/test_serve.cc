@@ -194,56 +194,18 @@ TEST(Serve, DrainAnswersEveryRequestExactlyOnce)
     ServeRun run = server.runTrace(trace);
     const ServeSummary &sum = run.summary;
 
-    EXPECT_GT(sum.shedOverload, 0u);
-    EXPECT_GT(sum.shedDeadline, 0u);
-
-    // One response per request id, none lost, none duplicated, and
-    // each response's timing fits its status.
+    // One response per request id, none lost, none duplicated.
     ASSERT_EQ(run.responses.size(), trace.size());
-    std::uint64_t ok = 0, overload = 0, deadline = 0, tokens = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        const ServeResponse &r = run.responses[i];
-        EXPECT_EQ(r.id, trace[i].id);
-        EXPECT_EQ(r.logits.size() > 0, r.status == ServeStatus::Ok) << i;
-        switch (r.status) {
-          case ServeStatus::Ok:
-            // Waited, then held the server for its tile.
-            ++ok;
-            tokens += trace[i].tokens.size();
-            EXPECT_GT(r.latencyUs, r.queueWaitUs) << i;
-            break;
-          case ServeStatus::ShedOverload:
-            // Rejected on arrival: never queued.
-            ++overload;
-            EXPECT_EQ(r.queueWaitUs, 0u) << i;
-            EXPECT_EQ(r.latencyUs, 0u) << i;
-            break;
-          case ServeStatus::ShedDeadline:
-            // Dropped at dispatch, after its wait blew the deadline.
-            ++deadline;
-            EXPECT_GT(r.queueWaitUs, opt.requestDeadlineUs) << i;
-            EXPECT_EQ(r.latencyUs, r.queueWaitUs) << i;
-            break;
-        }
+        EXPECT_EQ(run.responses[i].id, trace[i].id);
+        if (run.responses[i].status == ServeStatus::Ok)
+            EXPECT_GT(run.responses[i].logits.size(), 0u);
+        else
+            EXPECT_EQ(run.responses[i].logits.size(), 0u);
     }
-    EXPECT_EQ(sum.requests, trace.size());
     EXPECT_EQ(sum.completed + sum.shedOverload + sum.shedDeadline,
               sum.requests);
-
-    // The summary counts are the responses counted.
-    EXPECT_EQ(ok, sum.completed);
-    EXPECT_EQ(overload, sum.shedOverload);
-    EXPECT_EQ(deadline, sum.shedDeadline);
-    EXPECT_EQ(tokens, sum.tokensServed);
-    EXPECT_EQ(sum.lanesFilled, sum.completed);
-    EXPECT_EQ(sum.lanesTotal, sum.batches * server.options().tileLanes);
-    std::uint64_t bandRequests = 0, bandBatches = 0;
-    for (const ServeBandStats &b : sum.bands) {
-        bandRequests += b.requests;
-        bandBatches += b.batches;
-    }
-    EXPECT_EQ(bandRequests, sum.completed);
-    EXPECT_EQ(bandBatches, sum.batches);
+    EXPECT_EQ(sum.requests, trace.size());
 }
 
 TEST(Serve, OverloadAndDeadlineShedExplicitlyAndDeterministically)
@@ -309,13 +271,57 @@ TEST(Serve, TileOccupancyAccountsFilledLanes)
 
 TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
 {
+    // Serial vs parallel. (The name predates the single weight format.)
+    auto spec = stressSpec();
+    spec.requests = 64;
+    auto trace = generateTrace(spec, testModel().config().vocabSize);
+    ServeOptions opt;
+    opt.maxQueue = 8;
+    opt.requestDeadlineUs = 30000;
+
+    std::uint64_t checksum = 0;
+    bool first = true;
+    for (bool parallel : {false, true}) {
+        InferenceSession session = makeSession(parallel);
+        ServeServer server(session, opt);
+        ServeRun run = server.runTrace(trace);
+        if (first) {
+            checksum = run.summary.responseChecksum;
+            first = false;
+        } else {
+            EXPECT_EQ(run.summary.responseChecksum, checksum)
+                << "parallel=" << parallel;
+        }
+    }
+    EXPECT_NE(checksum, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The virtual-time account of a shedding run. The suite and test names
+// date from a windowed timeline and a flight recorder that once held
+// this account; the same contracts now hold on ServeRun::responses and
+// ServeSummary directly.
+
+ServeOptions
+stressOptions()
+{
+    ServeOptions opt;
+    opt.maxQueue = 8;
+    opt.requestDeadlineUs = 30000;
+    // Pin the tile width (the default resolves to the executing
+    // tier's seqTile) so lane bounds and shed decisions are the same
+    // on every host these tests run on.
+    opt.tileLanes = 8;
+    return opt;
+}
+
+TEST(ServeTimeline, ByteIdenticalAcrossBackendsAndFormats)
+{
     // Serial vs parallel on a run that sheds both ways: every response
     // and every virtual-time outcome is a function of (trace, options)
     // alone. (The name predates the single weight format.)
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
-    ServeOptions opt;
-    opt.maxQueue = 8;
-    opt.requestDeadlineUs = 30000;
+    ServeOptions opt = stressOptions();
     InferenceSession serialSession = makeSession(false);
     InferenceSession parallelSession = makeSession(true);
     ServeRun a = ServeServer(serialSession, opt).runTrace(trace);
@@ -339,6 +345,84 @@ TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
             << i;
         EXPECT_EQ(a.responses[i].latencyUs, b.responses[i].latencyUs)
             << i;
+    }
+}
+
+TEST(ServeTimeline, WindowSumsReconcileWithSummary)
+{
+    // The summary counts are the responses counted.
+    auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
+    InferenceSession session = makeSession(false);
+    ServeServer server(session, stressOptions());
+    ServeRun run = server.runTrace(trace);
+    const ServeSummary &sum = run.summary;
+    EXPECT_GT(sum.shedOverload, 0u);
+    EXPECT_GT(sum.shedDeadline, 0u);
+
+    ASSERT_EQ(run.responses.size(), trace.size());
+    std::uint64_t ok = 0, overload = 0, deadline = 0, tokens = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        switch (run.responses[i].status) {
+          case ServeStatus::Ok:
+            ++ok;
+            tokens += trace[i].tokens.size();
+            break;
+          case ServeStatus::ShedOverload:
+            ++overload;
+            break;
+          case ServeStatus::ShedDeadline:
+            ++deadline;
+            break;
+        }
+    }
+    EXPECT_EQ(sum.requests, trace.size());
+    EXPECT_EQ(ok, sum.completed);
+    EXPECT_EQ(overload, sum.shedOverload);
+    EXPECT_EQ(deadline, sum.shedDeadline);
+    EXPECT_EQ(tokens, sum.tokensServed);
+    EXPECT_EQ(sum.lanesFilled, sum.completed);
+    EXPECT_EQ(sum.lanesTotal, sum.batches * server.options().tileLanes);
+    std::uint64_t bandRequests = 0, bandBatches = 0;
+    for (const ServeBandStats &b : sum.bands) {
+        bandRequests += b.requests;
+        bandBatches += b.batches;
+    }
+    EXPECT_EQ(bandRequests, sum.completed);
+    EXPECT_EQ(bandBatches, sum.batches);
+}
+
+TEST(ServeTimeline, RecorderReconstructsEveryShedLifecycle)
+{
+    // Every response's timing fits its status.
+    auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
+    ServeOptions opt = stressOptions();
+    InferenceSession session = makeSession(false);
+    ServeServer server(session, opt);
+    ServeRun run = server.runTrace(trace);
+    EXPECT_GT(run.summary.shedOverload, 0u);
+    EXPECT_GT(run.summary.shedDeadline, 0u);
+
+    ASSERT_EQ(run.responses.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const ServeResponse &r = run.responses[i];
+        ASSERT_EQ(r.id, trace[i].id);
+        EXPECT_EQ(r.logits.size() > 0, r.status == ServeStatus::Ok) << i;
+        switch (r.status) {
+          case ServeStatus::Ok:
+            // Waited, then held the server for its tile.
+            EXPECT_GT(r.latencyUs, r.queueWaitUs) << i;
+            break;
+          case ServeStatus::ShedOverload:
+            // Rejected on arrival: never queued.
+            EXPECT_EQ(r.queueWaitUs, 0u) << i;
+            EXPECT_EQ(r.latencyUs, 0u) << i;
+            break;
+          case ServeStatus::ShedDeadline:
+            // Dropped at dispatch, after its wait blew the deadline.
+            EXPECT_GT(r.queueWaitUs, opt.requestDeadlineUs) << i;
+            EXPECT_EQ(r.latencyUs, r.queueWaitUs) << i;
+            break;
+        }
     }
 }
 
