@@ -18,13 +18,6 @@
  * Tier-to-tier speedup here is the microscopic view of the end-to-end
  * numbers perfbench/ measures.
  *
- * When hardware counters are available (obs/pmu.hh; GOBO_PMU governs
- * the counter source) every timed loop is additionally bracketed with PMU
- * samples and a roofline table follows: DRAM bytes/s actually
- * measured from LLC misses vs. the wall-clock GB/s of operands
- * *streamed through the kernel*, plus arithmetic intensity (flops per
- * missed byte) and IPC. It is machine-dependent by construction.
- *
  * Every lut_dot cell's sums must equal the generic tier's bit for bit
  * (kernels.hh contract); the program exits 1 if any differ.
  *
@@ -39,7 +32,6 @@
 #include <vector>
 
 #include "kernels/kernels.hh"
-#include "obs/pmu.hh"
 #include "util/bitstream.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -59,15 +51,6 @@ struct Result
     std::size_t seq = 0; ///< tokens per call; 0 where none apply.
     double gbPerSec = 0.0;
     double gflopPerSec = 0.0;
-};
-
-/** Counter-derived roofline point for one Result. */
-struct Roofline
-{
-    Result result;
-    double measuredGbPerSec = 0.0; ///< LLC-miss bytes / wall time.
-    double arithmeticIntensity = 0.0; ///< flops per missed byte.
-    double ipc = 0.0;
 };
 
 /** Consumed by every timing loop so the kernel calls stay live. */
@@ -198,39 +181,13 @@ main(int argc, char **argv)
         std::printf(" %s", t->name);
     std::printf(")\n\n");
 
-    // Hardware counters for the roofline block. The registry samples
-    // only this (the timing) thread; with the backend off every sample
-    // is invalid and the roofline vector stays empty. Timing loops are
-    // untouched either way: sampling happens strictly outside them, so
-    // wall-clock results are identical with PMU on, off, or absent.
-    PmuRegistry pmu;
     std::size_t mismatches = 0;
     std::vector<Result> results;
-    std::vector<Roofline> roofline;
-    const double line = static_cast<double>(pmuCacheLineBytes());
-    auto addRoofline = [&](const Result &r, const PmuSample &delta,
-                           double secs, double flops) {
-        if (!delta.valid)
-            return;
-        double missBytes = static_cast<double>(delta.llcMisses) * line;
-        Roofline roof;
-        roof.result = r;
-        roof.measuredGbPerSec = secs > 0 ? missBytes / secs / 1e9 : 0.0;
-        roof.arithmeticIntensity =
-            missBytes > 0 ? flops / missBytes : 0.0;
-        roof.ipc = delta.cycles > 0
-                       ? static_cast<double>(delta.instructions) /
-                             static_cast<double>(delta.cycles)
-                       : 0.0;
-        roofline.push_back(std::move(roof));
-    };
 
     for (const KernelSet *t : tiers) {
         const KernelSet &kn = *t;
         {
-            PmuSample t0 = pmu.threadSample();
             double secs = timeDot(kn, a, b, reps);
-            PmuSample delta = pmu.threadSample().since(t0);
             double calls = static_cast<double>(reps);
             // Streams both operand vectors; one mul + one add per
             // element.
@@ -238,12 +195,9 @@ main(int argc, char **argv)
             double flops = calls * 2.0 * kDenseN;
             results.push_back({"dot", kn.name, 0, kDenseN, 0,
                                bytes / secs / 1e9, flops / secs / 1e9});
-            addRoofline(results.back(), delta, secs, flops);
         }
         {
-            PmuSample t0 = pmu.threadSample();
             double secs = timeAxpy(kn, a, y, reps);
-            PmuSample delta = pmu.threadSample().since(t0);
             double calls = static_cast<double>(reps);
             // Streams x, reads and writes y; one mul + one add per
             // element.
@@ -251,7 +205,6 @@ main(int argc, char **argv)
             double flops = calls * 2.0 * kDenseN;
             results.push_back({"axpy", kn.name, 0, kDenseN, 0,
                                bytes / secs / 1e9, flops / secs / 1e9});
-            addRoofline(results.back(), delta, secs, flops);
         }
         for (unsigned bits : kLutBits)
             for (std::size_t in : kLutWidths) {
@@ -274,11 +227,9 @@ main(int argc, char **argv)
                     std::size_t n_calls = std::max<std::size_t>(
                         1, reps / 8 * kIn * 4 / (in * seq));
                     std::vector<float> sums, ref;
-                    PmuSample t0 = pmu.threadSample();
                     double secs =
                         timeLutDot(kn, packed, bits, kLutRows, in, table,
                                    xs, seq, n_calls, sums);
-                    PmuSample delta = pmu.threadSample().since(t0);
                     // Every tier owes the generic tier's bits.
                     ref.assign(sums.size(), 0.0f);
                     genericKernels().lutDot(packed.data(), packed.size(),
@@ -307,7 +258,6 @@ main(int argc, char **argv)
                     results.push_back({"lut_dot", kn.name, bits, in,
                                        seq, bytes / secs / 1e9,
                                        flops / secs / 1e9});
-                    addRoofline(results.back(), delta, secs, flops);
                 }
             }
         for (unsigned bits : {2u, 3u, 4u}) {
@@ -328,16 +278,13 @@ main(int argc, char **argv)
                         | (((v >> j) & 1u) << (bit % 8)));
             }
             std::vector<std::uint8_t> widened(kIn);
-            PmuSample t0 = pmu.threadSample();
             double secs =
                 timeDecode(kn, packed, bits, kIn, widened, reps / 4);
-            PmuSample delta = pmu.threadSample().since(t0);
             double calls = static_cast<double>(reps / 4);
             double bytes =
                 calls * (static_cast<double>(packed.size()) + kIn);
             results.push_back({"decode_row", kn.name, bits, kIn, 0,
                                bytes / secs / 1e9, 0.0});
-            addRoofline(results.back(), delta, secs, 0.0);
         }
     }
 
@@ -351,29 +298,6 @@ main(int argc, char **argv)
                       ConsoleTable::num(r.gbPerSec, 2),
                       ConsoleTable::num(r.gflopPerSec, 2)});
     table.print(std::cout);
-
-    if (!roofline.empty()) {
-        std::printf("\nRoofline (hardware counters, %s backend, "
-                    "%zu-byte lines; machine-dependent, ungated):\n",
-                    pmu.sourceName(), pmuCacheLineBytes());
-        ConsoleTable roof({"Kernel", "Tier", "B", "N", "Seq",
-                           "Wall GB/s", "DRAM GB/s", "Flop/DRAM-byte",
-                           "IPC"});
-        for (const auto &r : roofline)
-            roof.addRow({r.result.kernel, r.result.tier,
-                         r.result.bits ? std::to_string(r.result.bits)
-                                       : "-",
-                         std::to_string(r.result.n),
-                         r.result.seq ? std::to_string(r.result.seq)
-                                      : "-",
-                         ConsoleTable::num(r.result.gbPerSec, 2),
-                         ConsoleTable::num(r.measuredGbPerSec, 2),
-                         ConsoleTable::num(r.arithmeticIntensity, 1),
-                         ConsoleTable::num(r.ipc, 2)});
-        roof.print(std::cout);
-    } else if (!pmu.available()) {
-        std::printf("\n(no roofline: hardware counters unavailable)\n");
-    }
 
     return mismatches == 0 ? 0 : 1;
 }

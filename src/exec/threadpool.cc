@@ -7,26 +7,9 @@
 #include <cstring>
 #include <iostream>
 
-#ifdef __linux__
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
 namespace gobo {
 
 namespace {
-
-/** The calling thread's OS tid (what perf_event_open monitors by);
- * 0 where the platform has no such notion. */
-long
-currentOsTid()
-{
-#ifdef __linux__
-    return static_cast<long>(syscall(SYS_gettid));
-#else
-    return 0;
-#endif
-}
 
 /**
  * Owner-side chunking: each pop takes 1/4 of the newest task's
@@ -97,9 +80,6 @@ ThreadPool::ThreadPool(std::size_t n_workers)
         n_workers = defaultThreads();
     queues = std::make_unique<WorkQueue[]>(n_workers + 1);
     stats = std::make_unique<ParticipantStats[]>(n_workers + 1);
-    workerTids = std::make_unique<std::atomic<long>[]>(n_workers);
-    for (std::size_t t = 0; t < n_workers; ++t)
-        workerTids[t].store(0, std::memory_order_relaxed);
     workers.reserve(n_workers);
     for (std::size_t t = 0; t < n_workers; ++t)
         workers.emplace_back([this, t] { workerLoop(t); });
@@ -241,7 +221,6 @@ ThreadPool::workerLoop(std::size_t worker)
 {
     tls_pool = this;
     tls_slot = worker;
-    workerTids[worker].store(currentOsTid(), std::memory_order_release);
     std::uint64_t seen_signal = 0, joined_gen = 0;
     for (;;) {
         {
@@ -392,28 +371,6 @@ ThreadPool::telemetry() const
     t.steals +=
         stats[workers.size()].steals.load(std::memory_order_relaxed);
     return t;
-}
-
-std::vector<long>
-ThreadPool::workerThreadIds() const
-{
-    std::vector<long> tids(workers.size(), 0);
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-        // Publication races only construction: each worker stores its
-        // tid as the first action of workerLoop, so a short bounded
-        // wait covers a caller that attaches counters immediately
-        // after spawning the pool. 0 after the wait means a platform
-        // without tids — consumers skip those slots.
-        for (int spin = 0; spin < 1000; ++spin) {
-            long tid = workerTids[w].load(std::memory_order_acquire);
-            if (tid != 0) {
-                tids[w] = tid;
-                break;
-            }
-            std::this_thread::yield();
-        }
-    }
-    return tids;
 }
 
 ThreadPool &

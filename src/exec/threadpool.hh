@@ -151,18 +151,6 @@ class ThreadPool
      */
     PoolTelemetry telemetry() const;
 
-    /**
-     * OS thread ids of the persistent workers, in slot order — what
-     * the PMU registry needs to open per-worker counter groups
-     * (perf_event_open monitors a thread by tid without running any
-     * code on it). Pull-based for the same layering reason as
-     * telemetry(): exec stays free of obs symbols. Each worker
-     * publishes its tid as the first action of its loop; this waits
-     * briefly for stragglers, and any still-unpublished (or
-     * non-Linux) entry is 0, which consumers skip.
-     */
-    std::vector<long> workerThreadIds() const;
-
   private:
     /** One parallel loop in flight: its fn plus completion state. */
     struct Job
@@ -220,9 +208,6 @@ class ThreadPool
     void rethrowJobError(Job &job);
 
     std::vector<std::jthread> workers;
-
-    /** OS tid per worker slot; 0 until published (or non-Linux). */
-    std::unique_ptr<std::atomic<long>[]> workerTids;
 
     /** workers.size() + 1 queues/stats; the last is the submitter slot. */
     std::unique_ptr<WorkQueue[]> queues;

@@ -9,7 +9,6 @@
 #include "exec/session.hh"
 #include "obs/export.hh"
 #include "obs/observer.hh"
-#include "obs/pmu.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -17,39 +16,6 @@
 namespace gobo {
 
 namespace {
-
-/** Escape a string for a JSON literal (names are ASCII in practice). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /**
  * Shortest-round-trip double for JSON. Fidelity errors span many
@@ -198,14 +164,6 @@ auditModel(const BertModel &model, const AuditOptions &options)
     probe.setMode(ProbeMode::Compare);
     Observer qobs;
     qobs.probe = &probe;
-    // Pillar 4 arming: the observed pass is serial, so every
-    // QuantizedLinear span runs on this thread and the thread's PMU
-    // group brackets exactly one layer's forward per span — which is
-    // what lets the per-label miss aggregation below attribute DRAM
-    // traffic to FC layers.
-    const bool pmu_on = options.pmu && options.pmu->available();
-    if (pmu_on)
-        qobs.pmu = options.pmu;
     {
         ExecContext ctx = ExecContext::serial();
         ctx.obs = &qobs;
@@ -242,44 +200,13 @@ auditModel(const BertModel &model, const AuditOptions &options)
         report.totalEnergyMicroJ += a.totalEnergyMicroJ;
         report.totalLatencyMs += a.latencyMs;
     }
-
-    // Pillar 4: fold the per-span PMU deltas by label and line them up
-    // against the modeled traffic. Only the FC-layer labels are
-    // compared — other spans (embed, layernorm, sequence[i]) measure
-    // real misses too, but the model has no byte claim about them.
-    if (pmu_on) {
-        report.pmuAvailable = true;
-        report.pmuBackend = options.pmu->sourceName();
-        report.pmuCacheLineBytes = pmuCacheLineBytes();
-        auto pmu_spans = summarizePmuSpans(qobs.tracer);
-        for (const auto &t : report.traffic) {
-            PmuLayerValidation v;
-            v.layer = t.layer;
-            v.modeledBytes = t.bytesStreamed;
-            for (const auto &s : pmu_spans) {
-                if (s.name != t.layer)
-                    continue;
-                v.spans = s.count;
-                v.llcMisses = s.llcMisses;
-                v.measuredBytes =
-                    s.llcMisses *
-                    static_cast<std::uint64_t>(report.pmuCacheLineBytes);
-                break;
-            }
-            if (v.measuredBytes > 0)
-                v.modeledOverMeasured =
-                    static_cast<double>(v.modeledBytes) /
-                    static_cast<double>(v.measuredBytes);
-            report.pmuValidation.push_back(std::move(v));
-        }
-    }
     return report;
 }
 
 void
 writeAuditJson(const AuditReport &r, std::ostream &os)
 {
-    os << "{\n  \"schema\": \"gobo-audit-v2\",\n  \"model\": \""
+    os << "{\n  \"schema\": \"gobo-audit-v3\",\n  \"model\": \""
        << jsonEscape(r.model) << "\",\n  \"bits\": " << r.bits
        << ",\n  \"workload\": {\"sequences\": " << r.sequences
        << ", \"seq_len\": " << r.seqLen << ", \"seed\": " << r.seed
@@ -343,28 +270,7 @@ writeAuditJson(const AuditReport &r, std::ostream &os)
     os << "\n  ],\n  \"totals\": {\"bytes_streamed\": "
        << r.totalBytesStreamed << ", \"macs\": " << jsonNum(r.totalMacs)
        << ", \"energy_uj\": " << jsonNum(r.totalEnergyMicroJ)
-       << ", \"latency_ms\": " << jsonNum(r.totalLatencyMs) << "}";
-    // v2 addition: the hardware-counter validation block. Always
-    // present so a reader can distinguish "ran without counters"
-    // (available: false) from a pre-v2 document; machine-dependent by
-    // construction, so nothing in it is ever gated.
-    os << ",\n  \"pmu\": {\"available\": "
-       << (r.pmuAvailable ? "true" : "false") << ", \"backend\": \""
-       << jsonEscape(r.pmuBackend)
-       << "\", \"cache_line_bytes\": " << r.pmuCacheLineBytes
-       << ", \"validation\": [";
-    first = true;
-    for (const auto &v : r.pmuValidation) {
-        os << (first ? "\n" : ",\n") << "    {\"layer\": \""
-           << jsonEscape(v.layer) << "\", \"spans\": " << v.spans
-           << ", \"llc_misses\": " << v.llcMisses
-           << ", \"measured_bytes\": " << v.measuredBytes
-           << ", \"modeled_bytes\": " << v.modeledBytes
-           << ", \"modeled_over_measured\": "
-           << jsonNum(v.modeledOverMeasured) << "}";
-        first = false;
-    }
-    os << (first ? "]" : "\n  ]") << "}\n}\n";
+       << ", \"latency_ms\": " << jsonNum(r.totalLatencyMs) << "}\n}\n";
 }
 
 void
@@ -413,29 +319,6 @@ printAuditReport(const AuditReport &r, std::ostream &os)
        << " KiB streamed, " << sci(r.totalMacs) << " MACs, "
        << ConsoleTable::num(r.totalEnergyMicroJ, 2) << " uJ, "
        << sci(r.totalLatencyMs) << " ms (modeled)\n";
-
-    if (r.pmuAvailable) {
-        os << "\nmodel validation (hardware counters, " << r.pmuBackend
-           << " backend, " << r.pmuCacheLineBytes
-           << "-byte lines; machine-dependent):\n";
-        ConsoleTable pv({"Layer", "Spans", "LLC miss", "Measured KiB",
-                         "Modeled KiB", "Modeled/Measured"});
-        for (const auto &v : r.pmuValidation)
-            pv.addRow(
-                {v.layer, std::to_string(v.spans),
-                 std::to_string(v.llcMisses),
-                 ConsoleTable::num(
-                     static_cast<double>(v.measuredBytes) / 1024.0, 1),
-                 ConsoleTable::num(
-                     static_cast<double>(v.modeledBytes) / 1024.0, 1),
-                 v.measuredBytes > 0
-                     ? ConsoleTable::num(v.modeledOverMeasured, 3)
-                     : "-"});
-        pv.print(os);
-        os << "(~1 validates the memory-bound model; >1 means the "
-              "working set stayed cached, <1 means traffic the model "
-              "does not count)\n";
-    }
 }
 
 } // namespace gobo

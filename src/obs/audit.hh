@@ -43,8 +43,6 @@
 
 namespace gobo {
 
-class PmuRegistry; // obs/pmu.hh; the audit only carries the pointer.
-
 /** Static reconstruction fidelity of one quantized layer. */
 struct LayerFidelity
 {
@@ -81,39 +79,6 @@ struct AuditOptions
     std::size_t seqLen = 32;
     std::uint64_t seed = 42; ///< Workload token seed.
     MemParams mem;           ///< Technology params for attribution.
-
-    /**
-     * Optional hardware-counter registry for the fourth pillar
-     * (model validation). When set and available, the observed
-     * quantized pass runs with per-span PMU sampling and the report
-     * gains a per-layer modeled-vs-measured DRAM-byte comparison;
-     * null (the default) or an unavailable backend skips the pillar
-     * without touching the other three. The caller owns the registry
-     * (gobo audit --pmu passes the process-default one; tests inject
-     * a FakePmuSource).
-     */
-    PmuRegistry *pmu = nullptr;
-};
-
-/**
- * Pillar 4 (optional): one FC layer's modeled DRAM traffic checked
- * against what the hardware moved. Modeled bytes are memsim's input —
- * the qexec.layer.* streamed-byte counters; measured bytes are the
- * LLC-miss deltas of the same layer's spans times the cache-line
- * size. The ratio is modeled/measured: ~1 validates the memory-bound
- * model, >1 means the working set stayed cached (misses undercount
- * traffic), <1 means extra traffic the model does not see (prefetch,
- * activations). Ratio is 0 when the hardware measured no misses —
- * never inf/NaN.
- */
-struct PmuLayerValidation
-{
-    std::string layer;  ///< qexec span/counter label, "enc[0].query".
-    std::uint64_t spans = 0; ///< spans that carried PMU deltas.
-    std::uint64_t llcMisses = 0;
-    std::uint64_t measuredBytes = 0; ///< llcMisses x cache line.
-    std::uint64_t modeledBytes = 0;  ///< traffic bytesStreamed.
-    double modeledOverMeasured = 0.0;
 };
 
 /** The full three-pillar report; see writeAuditJson for the schema. */
@@ -136,12 +101,6 @@ struct AuditReport
     double totalEnergyMicroJ = 0.0;
     /** Sum of per-layer max(memory, compute) — serial layer stream. */
     double totalLatencyMs = 0.0;
-
-    // Pillar 4 (only when AuditOptions::pmu was set and available).
-    bool pmuAvailable = false;
-    std::string pmuBackend = "off";
-    std::size_t pmuCacheLineBytes = 0;
-    std::vector<PmuLayerValidation> pmuValidation; ///< fcLayers order.
 };
 
 /**
@@ -157,8 +116,8 @@ struct AuditReport
 AuditReport auditModel(const BertModel &model,
                        const AuditOptions &options);
 
-/** Write the report as JSON (schema "gobo-audit-v2"; EXPERIMENTS.md —
- * every v1 block is intact, v2 adds the top-level "pmu" block). */
+/** Write the report as JSON (schema "gobo-audit-v3"; EXPERIMENTS.md —
+ * exactly the v1 blocks; v2's hardware-counter block is gone). */
 void writeAuditJson(const AuditReport &report, std::ostream &os);
 
 /** Render the report as console tables. */

@@ -10,17 +10,6 @@
 
 namespace gobo {
 
-namespace {
-
-/**
- * Escape a string for a JSON literal. Names are ASCII in practice,
- * but a hostile or buggy name (control bytes, raw 0x80..0xFF that may
- * not be valid UTF-8) must still produce *valid* JSON: anything
- * outside printable ASCII is emitted as a \u00xx escape, so the
- * output is parseable regardless of what went in. Multi-byte UTF-8
- * renders as per-byte escapes — ugly but lossless at the byte level
- * and never malformed.
- */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -55,6 +44,8 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+namespace {
+
 /** Fixed-precision double for JSON (avoids locale surprises). */
 std::string
 jsonNum(double v, int precision = 3)
@@ -70,9 +61,9 @@ jsonNum(double v, int precision = 3)
  * JSON and 0 would fake a measurement that never happened.
  */
 std::string
-jsonNumOrNull(double v, int precision = 3)
+jsonNumOrNull(double v)
 {
-    return std::isfinite(v) ? jsonNum(v, precision) : "null";
+    return std::isfinite(v) ? jsonNum(v) : "null";
 }
 
 } // namespace
@@ -134,14 +125,6 @@ printMetrics(const MetricsSnapshot &snap, std::ostream &os)
         os << "\n";
     }
 
-    ConsoleTable gauges({"Gauge", "Value"});
-    for (const auto &g : snap.gauges)
-        gauges.addRow({g.name, ConsoleTable::num(g.value, 4)});
-    if (gauges.rowCount() > 0) {
-        gauges.print(os);
-        os << "\n";
-    }
-
     ConsoleTable hists({"Histogram", "Count", "Overflow", "Mean", "p50",
                         "p90", "p99"});
     for (const auto &h : snap.histograms) {
@@ -171,13 +154,6 @@ writeMetricsJson(const MetricsSnapshot &snap, std::ostream &os)
     for (const auto &c : snap.counters) {
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(c.name)
            << "\": " << c.value;
-        first = false;
-    }
-    os << "\n  },\n  \"gauges\": {";
-    first = true;
-    for (const auto &g : snap.gauges) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(g.name)
-           << "\": " << jsonNumOrNull(g.value, 6);
         first = false;
     }
     os << "\n  },\n  \"histograms\": [";
@@ -222,29 +198,6 @@ appendTraceCounters(MetricsSnapshot &snap, const Tracer &tracer)
         {"trace.dropped_events", tracer.droppedEvents()});
 }
 
-void
-appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu)
-{
-    snap.gauges.push_back({"pmu.available", pmu.available ? 1.0 : 0.0});
-    if (!pmu.available || !pmu.total.valid)
-        return;
-    auto put = [&](std::string name, std::uint64_t value) {
-        snap.counters.push_back({std::move(name), value});
-    };
-    put("pmu.cycles", pmu.total.cycles);
-    put("pmu.instructions", pmu.total.instructions);
-    put("pmu.llc_misses", pmu.total.llcMisses);
-    put("pmu.llc_references", pmu.total.llcReferences);
-    put("pmu.stalled_backend", pmu.total.stalledBackend);
-    for (const auto &w : pmu.workers)
-        if (w.sample.valid)
-            put("pmu.worker[" + std::to_string(w.worker) + "].llc_misses",
-                w.sample.llcMisses);
-    snap.gauges.push_back({"pmu.ipc", pmu.ipc()});
-    snap.gauges.push_back({"pmu.llc_miss_ratio", pmu.llcMissRatio()});
-    snap.gauges.push_back({"pmu.llc_miss_gbps", pmu.llcMissGBps()});
-}
-
 std::vector<SpanSummary>
 summarizeSpans(const Tracer &tracer)
 {
@@ -264,45 +217,6 @@ summarizeSpans(const Tracer &tracer)
     std::sort(out.begin(), out.end(),
               [](const SpanSummary &a, const SpanSummary &b) {
                   return a.totalUs > b.totalUs;
-              });
-    return out;
-}
-
-std::vector<PmuSpanSummary>
-summarizePmuSpans(const Tracer &tracer)
-{
-    std::map<std::string, PmuSpanSummary> by_name;
-    for (const auto &e : tracer.events()) {
-        // A span carries PMU data iff the ScopedSpan dtor appended the
-        // triple; other args (request ids) share the vector, so find
-        // by key rather than position.
-        const std::uint64_t *miss = nullptr, *instr = nullptr,
-                            *cyc = nullptr;
-        for (const auto &[key, value] : e.args) {
-            if (key == "llc_miss")
-                miss = &value;
-            else if (key == "instructions")
-                instr = &value;
-            else if (key == "cycles")
-                cyc = &value;
-        }
-        if (!miss || !instr || !cyc)
-            continue;
-        PmuSpanSummary &s = by_name[e.name];
-        s.name = e.name;
-        ++s.count;
-        s.llcMisses += *miss;
-        s.instructions += *instr;
-        s.cycles += *cyc;
-        s.totalUs += e.durUs;
-    }
-    std::vector<PmuSpanSummary> out;
-    out.reserve(by_name.size());
-    for (auto &[name, s] : by_name)
-        out.push_back(std::move(s));
-    std::sort(out.begin(), out.end(),
-              [](const PmuSpanSummary &a, const PmuSpanSummary &b) {
-                  return a.llcMisses > b.llcMisses;
               });
     return out;
 }

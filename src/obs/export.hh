@@ -20,12 +20,20 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/pmu.hh"
 #include "obs/trace.hh"
 
 namespace gobo {
 
 struct PoolTelemetry;
+
+/**
+ * Escape a string for a JSON string literal. Anything outside
+ * printable ASCII (control bytes, raw 0x7f..0xff that may not be
+ * valid UTF-8) becomes a \u00xx escape, so a hostile or buggy name
+ * still yields valid JSON; multi-byte UTF-8 renders as per-byte
+ * escapes — lossless at the byte level and never malformed.
+ */
+std::string jsonEscape(const std::string &s);
 
 /**
  * Write `tracer`'s events as Chrome trace-event JSON
@@ -59,17 +67,6 @@ void appendPoolCounters(MetricsSnapshot &snap, const PoolTelemetry &pool);
  */
 void appendTraceCounters(MetricsSnapshot &snap, const Tracer &tracer);
 
-/**
- * Fold one PmuSnapshot into `snap`: raw totals as `pmu.*` counters
- * (cycles, instructions, llc_misses, llc_references, stalled_backend,
- * plus per-worker `pmu.worker[i].llc_misses`), and the derived figures
- * as gauges — `pmu.available` (1/0), `pmu.ipc`, `pmu.llc_miss_ratio`,
- * and `pmu.llc_miss_gbps` (misses x cache line / elapsed). With an
- * unavailable backend only `pmu.available` = 0 is appended, so a
- * counters diff between PMU-on and PMU-off runs stays readable.
- */
-void appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu);
-
 /** Aggregate of every span sharing one name. */
 struct SpanSummary
 {
@@ -81,26 +78,6 @@ struct SpanSummary
 
 /** Per-name span aggregates, sorted by total time descending. */
 std::vector<SpanSummary> summarizeSpans(const Tracer &tracer);
-
-/** Aggregate of the PMU deltas carried by every span sharing a name
- * (only spans that actually recorded the llc_miss/instructions/cycles
- * args contribute — spans traced with PMU off are invisible here). */
-struct PmuSpanSummary
-{
-    std::string name;
-    std::uint64_t count = 0; ///< spans that carried PMU args.
-    std::uint64_t llcMisses = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    double totalUs = 0.0; ///< wall time of the contributing spans.
-};
-
-/**
- * Per-name aggregates of span PMU annotations, sorted by LLC misses
- * descending — the measured side of the audit layer's modeled-vs-
- * measured DRAM comparison. Empty when no span carried PMU args.
- */
-std::vector<PmuSpanSummary> summarizePmuSpans(const Tracer &tracer);
 
 } // namespace gobo
 

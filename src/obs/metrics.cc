@@ -129,15 +129,6 @@ MetricsSnapshot::findHistogram(std::string_view name) const
     return nullptr;
 }
 
-const MetricsSnapshot::GaugeValue *
-MetricsSnapshot::findGauge(std::string_view name) const
-{
-    for (const auto &g : gauges)
-        if (g.name == name)
-            return &g;
-    return nullptr;
-}
-
 std::vector<double>
 latencyBoundsUs(std::size_t per_decade)
 {

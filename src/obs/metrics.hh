@@ -96,30 +96,14 @@ struct MetricsSnapshot
         std::uint64_t value = 0;
     };
 
-    /**
-     * A derived floating-point figure (hit rates, IPC, measured GB/s).
-     * Gauges are never recorded on hot paths — exporters compute them
-     * from counters or PMU samples at snapshot time — so the registry
-     * itself stays integer-only and wait-free.
-     */
-    struct GaugeValue
-    {
-        std::string name;
-        double value = 0.0;
-    };
-
     std::vector<CounterValue> counters;
     std::vector<HistogramSnapshot> histograms;
-    std::vector<GaugeValue> gauges;
 
     /** Counter by name; nullptr when absent. */
     const CounterValue *findCounter(std::string_view name) const;
 
     /** Histogram by name; nullptr when absent. */
     const HistogramSnapshot *findHistogram(std::string_view name) const;
-
-    /** Gauge by name; nullptr when absent. */
-    const GaugeValue *findGauge(std::string_view name) const;
 };
 
 /**

@@ -25,7 +25,6 @@
 #include <utility>
 
 #include "obs/metrics.hh"
-#include "obs/pmu.hh"
 #include "obs/trace.hh"
 
 namespace gobo {
@@ -75,17 +74,6 @@ class Observer
      * costs two branches when no sampling probe is attached.
      */
     ActivationProbe *probe = nullptr;
-
-    /**
-     * Optional hardware-counter registry (obs/pmu.hh); null by
-     * default. When attached (gobo infer/audit --pmu), every
-     * ScopedSpan brackets its interval with per-thread PMU samples and
-     * annotates the trace with llc_miss / instructions / cycles
-     * deltas. Two branches per span when absent, same economics as the
-     * probe — and, like everything else here, sampling never touches
-     * compute, so logits stay bit-identical either way.
-     */
-    PmuRegistry *pmu = nullptr;
 
     // Pre-interned ids for the instrumented hot paths. Counter names
     // follow the `subsystem.event[.variant]` scheme DESIGN.md §9
@@ -217,41 +205,23 @@ class ScopedSpan
 
     ~ScopedSpan()
     {
-        if (obs) {
-            // PMU end-sample before the end timestamp: the counter
-            // read is the expensive part, keep it inside the span.
-            if (obs->pmu && pmuBegin.valid) {
-                PmuSample delta =
-                    obs->pmu->threadSample().since(pmuBegin);
-                if (delta.valid) {
-                    spanArgs.emplace_back("llc_miss", delta.llcMisses);
-                    spanArgs.emplace_back("instructions",
-                                          delta.instructions);
-                    spanArgs.emplace_back("cycles", delta.cycles);
-                }
-            }
+        if (obs)
             obs->tracer.record(std::move(spanName), beginUs,
                                obs->tracer.nowUs() - beginUs,
                                std::move(spanArgs));
-        }
     }
 
   private:
-    /** Shared begin path once the span is known to be live: start
-     * timestamp, then the PMU begin-sample (invalid when no registry
-     * is attached or the backend is down — the dtor's cue to skip). */
+    /** Shared begin path once the span is known to be live. */
     void
     begin()
     {
         beginUs = obs->tracer.nowUs();
-        if (obs->pmu)
-            pmuBegin = obs->pmu->threadSample();
     }
 
     Observer *obs;
     std::string spanName;
     std::vector<TraceArg> spanArgs;
-    PmuSample pmuBegin;
     double beginUs = 0.0;
 };
 

@@ -16,6 +16,32 @@
 
 namespace gobo {
 
+namespace {
+
+/**
+ * Latest virtual instant. Every virtual time saturates here instead of
+ * wrapping, so a huge --flush-deadline-us or a tiny --service-rate
+ * means "later than anything", never "earlier"; UINT64_MAX itself
+ * stays free as runTrace's "no pending event" sentinel.
+ */
+constexpr std::uint64_t kLastUs = UINT64_MAX - 1;
+
+std::uint64_t
+addUs(std::uint64_t a, std::uint64_t b)
+{
+    return a >= kLastUs || b > kLastUs - a ? kLastUs : a + b;
+}
+
+/** `us` as whole microseconds; the cast is undefined past 2^64. */
+std::uint64_t
+toUs(double us)
+{
+    return us < 0x1p64 ? std::min(static_cast<std::uint64_t>(us), kLastUs)
+                       : kLastUs;
+}
+
+} // namespace
+
 const char *
 serveStatusName(ServeStatus s)
 {
@@ -162,11 +188,10 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
         // its token count over the modeled rate, plus fixed overhead.
         std::size_t tokens = batchTokens(batch);
         sum.tokensServed += tokens;
-        auto serviceUs = static_cast<std::uint64_t>(
-            static_cast<double>(tokens) / opt.serviceTokensPerSec
-            * 1e6);
+        std::uint64_t serviceUs = toUs(
+            static_cast<double>(tokens) / opt.serviceTokensPerSec * 1e6);
         std::uint64_t completionUs =
-            batchStartUs + opt.batchOverheadUs + serviceUs;
+            addUs(addUs(batchStartUs, opt.batchOverheadUs), serviceUs);
         serverFreeAtUs = completionUs;
         completions.emplace_back(completionUs, kept.size());
 
@@ -224,7 +249,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
                 if (q.empty())
                     continue;
                 std::uint64_t d =
-                    q.front().admitUs + opt.flushDeadlineUs;
+                    addUs(q.front().admitUs, opt.flushDeadlineUs);
                 if (d < flushT) {
                     flushT = d;
                     flushIdx = b;
@@ -268,7 +293,7 @@ ServeServer::runTrace(const std::vector<TraceRequest> &trace)
     }
     // Shutdown drain: advancing past every pending deadline flushes
     // the remaining partial tiles, so no admitted request is lost.
-    advance(UINT64_MAX - 1);
+    advance(kLastUs);
     sum.wallSeconds = wall.seconds();
 
     fatalIf(inSystem != 0, "serve: ", inSystem,

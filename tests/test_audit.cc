@@ -5,7 +5,7 @@
  * ActivationProbe capture/compare protocol, the bit-identity contract
  * for attached-but-disabled probes across backends,
  * measured-traffic attribution arithmetic, and the end-to-end
- * auditModel report.
+ * auditModel report and its JSON.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "core/qexec.hh"
 #include "exec/session.hh"
+#include "jsonlint.hh"
 #include "memsim/memsim.hh"
 #include "model/generate.hh"
 #include "obs/audit.hh"
@@ -377,11 +378,17 @@ TEST_F(AuditFixture, AuditJsonIsBalancedAndTagged)
     std::ostringstream os;
     writeAuditJson(r, os);
     std::string json = os.str();
-    EXPECT_NE(json.find("\"schema\": \"gobo-audit-v2\""),
+    EXPECT_TRUE(jsonValid(json)) << json.substr(0, 400);
+    EXPECT_NE(json.find("\"schema\": \"gobo-audit-v3\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"fidelity\""), std::string::npos);
-    EXPECT_NE(json.find("\"divergence\""), std::string::npos);
-    EXPECT_NE(json.find("\"attribution\""), std::string::npos);
+    // v3 holds exactly the v1 blocks.
+    for (const char *block : {"\"workload\"", "\"fidelity\"",
+                              "\"divergence\"", "\"traffic\"",
+                              "\"attribution\"", "\"totals\""})
+        EXPECT_NE(json.find(block), std::string::npos) << block;
+    // "totals" is the last top-level key: nothing follows the v1 set.
+    EXPECT_EQ(json.substr(json.find("\"totals\"")).find("\n  \""),
+              std::string::npos);
     EXPECT_NE(json.find("enc[0].query"), std::string::npos);
     int braces = 0, brackets = 0;
     for (char c : json) {
@@ -395,6 +402,26 @@ TEST_F(AuditFixture, AuditJsonIsBalancedAndTagged)
     printAuditReport(r, console);
     EXPECT_NE(console.str().find("encoder0.query"), std::string::npos);
     EXPECT_NE(console.str().find("totals:"), std::string::npos);
+}
+
+TEST(AuditJsonTest, NonAsciiModelNameIsEscaped)
+{
+    // The model name is read from the file, so it can hold any byte;
+    // a raw 0xff would make the document invalid UTF-8.
+    ModelConfig cfg = miniConfig(ModelFamily::BertBase);
+    cfg.name = "mini\xff";
+    AuditOptions opt;
+    opt.quant.base.bits = 3;
+    opt.sequences = 1;
+    opt.seqLen = 4;
+    std::ostringstream os;
+    writeAuditJson(auditModel(generateModel(cfg, 5), opt), os);
+    std::string json = os.str();
+    EXPECT_TRUE(jsonValid(json)) << json.substr(0, 200);
+    EXPECT_NE(json.find("\"model\": \"mini\\u00ff\""),
+              std::string::npos)
+        << json.substr(0, 200);
+    EXPECT_EQ(json.find('\xff'), std::string::npos);
 }
 
 } // namespace

@@ -2,8 +2,7 @@
  * @file
  * One parameterized strict-JSON gate over every machine-readable
  * document the repo writes: the serve report (`gobo serve --json`), the
- * gobo-audit-v2 report
- * (with and without the pmu pillar), and the --metrics-json snapshot.
+ * gobo-audit-v3 report, and the --metrics-json snapshot.
  * Each case renders a document through the *real* writer — synthetic
  * inputs where the structs are plain data, a miniature end-to-end run
  * where they are not — and validates it with tests/jsonlint.hh, so a
@@ -13,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -23,7 +21,6 @@
 #include "model/generate.hh"
 #include "obs/audit.hh"
 #include "obs/export.hh"
-#include "obs/pmu.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
 #include "util/rng.hh"
@@ -99,32 +96,15 @@ renderServe()
     return os.str();
 }
 
-AuditReport
-auditReport(PmuRegistry *pmu)
+std::string
+renderAudit()
 {
     AuditOptions opt;
     opt.quant.base.bits = 3;
     opt.sequences = 1;
     opt.seqLen = 6;
-    opt.pmu = pmu;
-    return auditModel(testModel(), opt);
-}
-
-std::string
-renderAudit()
-{
     std::ostringstream os;
-    writeAuditJson(auditReport(nullptr), os);
-    return os.str();
-}
-
-std::string
-renderAuditWithPmu()
-{
-    static FakePmuSource backend;
-    PmuRegistry reg(backend);
-    std::ostringstream os;
-    writeAuditJson(auditReport(&reg), os);
+    writeAuditJson(auditModel(testModel(), opt), os);
     return os.str();
 }
 
@@ -133,11 +113,7 @@ renderMetrics()
 {
     MetricsSnapshot snap;
     snap.counters.push_back({"qexec.layer.enc[0].query.forwards", 4});
-    snap.counters.push_back({"pmu.llc_misses", 1234});
-    snap.gauges.push_back({"pmu.available", 1.0});
-    snap.gauges.push_back({"pmu.ipc", 1.5});
-    // A non-finite gauge must render as null, never as a nan token.
-    snap.gauges.push_back({"hostile.gauge", std::nan("")});
+    snap.counters.push_back({"pool.jobs", 1234});
     HistogramSnapshot h;
     h.name = "serve.latency_us";
     h.bounds = {10.0, 100.0};
@@ -145,6 +121,13 @@ renderMetrics()
     h.count = 6;
     h.sum = 420.0;
     snap.histograms.push_back(std::move(h));
+    // An empty histogram's quantiles are NaN by contract; they must
+    // render as null, never as a nan token.
+    HistogramSnapshot empty;
+    empty.name = "serve.queue_wait_us";
+    empty.bounds = {10.0, 100.0};
+    empty.counts = {0, 0, 0};
+    snap.histograms.push_back(std::move(empty));
     std::ostringstream os;
     writeMetricsJson(snap, os);
     return os.str();
@@ -159,7 +142,6 @@ struct WriterCase
 const WriterCase kCases[] = {
     {"serve", renderServe},
     {"audit", renderAudit},
-    {"audit_pmu", renderAuditWithPmu},
     {"metrics", renderMetrics},
 };
 

@@ -473,6 +473,61 @@ TEST(Serve, RejectsNonFiniteServiceRate)
     }
 }
 
+TEST(Serve, HugeFlushDeadlineNeverFlushesEarly)
+{
+    // admitUs + flushDeadlineUs must saturate, not wrap: a deadline of
+    // 2^64 - 1 us means "wait for a full tile", exactly like one far
+    // past the trace's end.
+    auto spec = parseTraceSpec("n=64,seed=3,rate=400,len=1:8");
+    ASSERT_TRUE(spec);
+    auto trace = generateTrace(*spec, testModel().config().vocabSize);
+    InferenceSession session = makeSession(false);
+    ServeOptions opt;
+    opt.tileLanes = 16;
+    opt.flushDeadlineUs = 1000000000;
+    const ServeSummary far =
+        ServeServer(session, opt).runTrace(trace).summary;
+    opt.flushDeadlineUs = UINT64_MAX;
+    const ServeSummary huge =
+        ServeServer(session, opt).runTrace(trace).summary;
+    EXPECT_EQ(far.batches, 4u);
+    EXPECT_EQ(huge.batches, far.batches);
+    EXPECT_EQ(huge.tileOccupancy, 1.0);
+    EXPECT_EQ(huge.latencyP99Us, far.latencyP99Us);
+    EXPECT_EQ(huge.responseChecksum, far.responseChecksum);
+}
+
+TEST(Serve, TinyServiceRateSaturatesVirtualTime)
+{
+    // One token at 1e-300 tok/s takes ~1e306 us, past what a uint64
+    // holds: the service time must saturate, not cast to garbage.
+    auto spec = parseTraceSpec("n=40,seed=5,rate=400,len=1:8");
+    ASSERT_TRUE(spec);
+    auto trace = generateTrace(*spec, testModel().config().vocabSize);
+    InferenceSession session = makeSession(false);
+    ServeOptions opt;
+    opt.tileLanes = 8;
+    opt.serviceTokensPerSec = 1e-300;
+    ServeRun run = ServeServer(session, opt).runTrace(trace);
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const ServeResponse &r = run.responses[i];
+        if (r.status != ServeStatus::Ok)
+            continue;
+        ++ok;
+        ASSERT_GE(r.latencyUs, r.queueWaitUs) << "request " << r.id;
+        // Requests are admitted on arrival, so arrival + latency is
+        // the completion instant; it must not have wrapped.
+        EXPECT_LE(r.latencyUs, UINT64_MAX - trace[i].arrivalUs)
+            << "request " << r.id;
+        // So every tile completes at the far end of virtual time.
+        EXPECT_GE(trace[i].arrivalUs + r.latencyUs, UINT64_MAX / 2)
+            << "request " << r.id;
+    }
+    EXPECT_EQ(ok, run.summary.completed);
+    EXPECT_GT(ok, 8u);
+}
+
 void
 expectRel(double got, double want, const char *what)
 {

@@ -51,9 +51,11 @@
  * serve's Chrome trace output flag is `--trace-out`. `kernels`
  * probes the host: one line per SIMD tier (runnable or not, with its
  * sequence-tile width) plus the active tier — CI uses it to decide
- * which GOBO_KERNEL matrix cells the runner supports.
+ * which GOBO_KERNEL matrix cells the runner supports. A flag the
+ * command does not read is a usage error (exit 2), like a bad value.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -63,6 +65,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/container.hh"
 #include "core/qexec.hh"
@@ -76,7 +79,6 @@
 #include "obs/audit.hh"
 #include "obs/export.hh"
 #include "obs/observer.hh"
-#include "obs/pmu.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
 #include "tensor/ops.hh"
@@ -108,11 +110,11 @@ usage(const char *msg = nullptr)
         "                 [--kernel generic|avx2|avx512|native]\n"
         "                 [--engine fp32|qexec] [--seed N]\n"
         "                 [--trace OUT.json] [--metrics]"
-        " [--metrics-json OUT.json] [--pmu]\n"
+        " [--metrics-json OUT.json]\n"
         "  gobo audit     FILE [--bits B] [--embedding-bits E]"
         " [--method M]\n"
         "                 [--threshold T] [--sequences N] [--seq-len S] [--seed N]\n"
-        "                 [--json OUT.json] [--pmu]\n"
+        "                 [--json OUT.json]\n"
         "  gobo serve     FILE --trace SPEC [--threads N]\n"
         "                 [--kernel generic|avx2|avx512|native]\n"
         "                 [--engine fp32|qexec] [--max-queue N]\n"
@@ -132,33 +134,29 @@ usage(const char *msg = nullptr)
 }
 
 /**
- * Flat flag parser: positional args plus --key value pairs. Flags
- * named in `switches` are booleans and consume no value.
+ * Flat flag parser: positional args plus --key value pairs. Only the
+ * command's `known` flags are accepted — any other --flag is a usage
+ * error naming it, so a typo never silently runs with a default.
+ * `--metrics` is the one boolean switch and consumes no value.
  */
 struct Args
 {
     std::vector<std::string> positional;
     std::map<std::string, std::string> flags;
 
-    static bool
-    isSwitch(const std::string &key)
-    {
-        static const char *const switches[] = {"metrics", "pmu"};
-        for (const char *s : switches)
-            if (key == s)
-                return true;
-        return false;
-    }
-
     static Args
-    parse(int argc, char **argv, int first)
+    parse(int argc, char **argv, int first, const char *cmd,
+          const std::vector<std::string_view> &known)
     {
         Args a;
         for (int i = first; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) == 0) {
                 std::string key = arg.substr(2);
-                if (isSwitch(key)) {
+                if (std::find(known.begin(), known.end(), key)
+                    == known.end())
+                    usage(("unknown flag " + arg + " for " + cmd).c_str());
+                if (key == "metrics") {
                     a.flags[key] = "1";
                     continue;
                 }
@@ -455,25 +453,11 @@ cmdInfer(const Args &args)
     std::string trace_path = args.get("trace", "");
     std::string metrics_json_path = args.get("metrics-json", "");
     bool show_metrics = args.has("metrics");
-    bool use_pmu = args.has("pmu");
     std::optional<Observer> observer;
-    std::optional<PmuRegistry> pmu;
-    if (!trace_path.empty() || show_metrics || !metrics_json_path.empty()
-        || use_pmu) {
+    if (!trace_path.empty() || show_metrics || !metrics_json_path.empty()) {
         observer.emplace();
         ctx.obs = &*observer;
     }
-    if (use_pmu) {
-        // Process-default backend: probes perf_event once, or degrades
-        // with a single stderr note. An unavailable registry is inert —
-        // the run proceeds identically (bit-identical logits) and the
-        // metrics dump reports pmu.available = 0 instead of failing.
-        pmu.emplace();
-        observer->pmu = &*pmu;
-        if (ctx.isParallel())
-            pmu->attachWorkers(ThreadPool::shared().workerThreadIds());
-    }
-
     InferenceSession session = openSession(path, engine, ctx);
     const ModelConfig &cfg = session.config();
     fatalIf(seq_len > cfg.maxPosition, "seq-len ", seq_len,
@@ -521,23 +505,10 @@ cmdInfer(const Args &args)
                     observer->tracer.events().size(),
                     trace_path.c_str());
     }
-    if (show_metrics || !metrics_json_path.empty() || use_pmu) {
+    if (show_metrics || !metrics_json_path.empty()) {
         MetricsSnapshot snap = observer->metrics.snapshot();
         appendPoolCounters(snap, ThreadPool::shared().telemetry());
         appendTraceCounters(snap, observer->tracer);
-        if (pmu) {
-            PmuSnapshot ps = pmu->snapshot();
-            appendPmuMetrics(snap, ps);
-            if (ps.available && ps.total.valid)
-                std::printf("\npmu (%s backend): IPC %.2f, LLC miss "
-                            "ratio %.3f, measured %.2f GB/s from "
-                            "misses\n",
-                            ps.backend.c_str(), ps.ipc(),
-                            ps.llcMissRatio(), ps.llcMissGBps());
-            else
-                std::puts("\npmu: hardware counters unavailable "
-                          "(run unchanged; pmu.available = 0)");
-        }
         if (show_metrics) {
             std::puts("");
             printMetrics(snap, std::cout);
@@ -584,16 +555,6 @@ cmdAudit(const Args &args)
     opt.seed = parseU64Flag(args, "seed", "42");
     if (opt.sequences == 0 || opt.seqLen == 0)
         usage("sequences and seq-len must be positive");
-
-    // Pillar 4 (model validation) when counters are available; an
-    // unavailable backend leaves the registry inert and the audit
-    // identical to a run without --pmu (the JSON then records
-    // "available": false instead of the validation table).
-    std::optional<PmuRegistry> pmu;
-    if (args.has("pmu")) {
-        pmu.emplace();
-        opt.pmu = &*pmu;
-    }
 
     // A container decodes to FP32 first; the audit then measures its
     // re-quantization under the requested settings.
@@ -785,6 +746,37 @@ cmdKernels(const Args &)
     return 0;
 }
 
+/** One subcommand: its entry point and every --flag it reads. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"generate", cmdGenerate, {"family", "scale", "seed", "out"}},
+    {"compress",
+     cmdCompress,
+     {"out", "bits", "embedding-bits", "method", "threshold", "threads"}},
+    {"decompress", cmdDecompress, {"out"}},
+    {"inspect", cmdInspect, {}},
+    {"infer",
+     cmdInfer,
+     {"batch", "seq-len", "threads", "kernel", "engine", "seed", "trace",
+      "metrics", "metrics-json"}},
+    {"audit",
+     cmdAudit,
+     {"bits", "embedding-bits", "method", "threshold", "sequences",
+      "seq-len", "seed", "json"}},
+    {"serve",
+     cmdServe,
+     {"trace", "threads", "kernel", "engine", "max-queue",
+      "flush-deadline-us", "deadline-us", "band-width", "service-rate",
+      "json", "metrics", "metrics-json", "trace-out"}},
+    {"kernels", cmdKernels, {}},
+};
+
 } // namespace
 
 int
@@ -793,25 +785,15 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     std::string cmd = argv[1];
-    Args args = Args::parse(argc, argv, 2);
-    try {
-        if (cmd == "generate")
-            return cmdGenerate(args);
-        if (cmd == "compress")
-            return cmdCompress(args);
-        if (cmd == "decompress")
-            return cmdDecompress(args);
-        if (cmd == "inspect")
-            return cmdInspect(args);
-        if (cmd == "infer")
-            return cmdInfer(args);
-        if (cmd == "audit")
-            return cmdAudit(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "kernels")
-            return cmdKernels(args);
+    const Command *command = nullptr;
+    for (const Command &c : kCommands)
+        if (cmd == c.name)
+            command = &c;
+    if (!command)
         usage(("unknown command: " + cmd).c_str());
+    Args args = Args::parse(argc, argv, 2, command->name, command->flags);
+    try {
+        return command->run(args);
     } catch (const gobo::FatalError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
