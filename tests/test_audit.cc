@@ -404,6 +404,42 @@ TEST_F(AuditFixture, AuditJsonIsBalancedAndTagged)
     EXPECT_NE(console.str().find("totals:"), std::string::npos);
 }
 
+/** The audit as run with no hardware-counter layer in the build. */
+class PmuModelFixture : public AuditFixture
+{
+};
+
+TEST_F(PmuModelFixture, AuditWithoutPmuKeepsV1BlocksAndRecordsAbsence)
+{
+    AuditOptions opt;
+    opt.quant.base.bits = 3;
+    opt.sequences = 1;
+    opt.seqLen = 6;
+
+    AuditReport r = auditModel(model, opt);
+    EXPECT_FALSE(r.fidelity.empty());
+    EXPECT_FALSE(r.divergence.empty());
+    EXPECT_FALSE(r.traffic.empty());
+    EXPECT_EQ(r.attribution.size(), r.traffic.size());
+
+    std::ostringstream js;
+    writeAuditJson(r, js);
+    std::string json = js.str();
+    EXPECT_TRUE(jsonValid(json)) << json.substr(0, 400);
+    for (const char *block :
+         {"\"fidelity\"", "\"divergence\"", "\"attribution\""})
+        EXPECT_NE(json.find(block), std::string::npos) << block;
+    // Counters are absent by schema: no pmu block, no availability
+    // flag and no modeled-over-measured column.
+    EXPECT_EQ(json.find("\"pmu\""), std::string::npos);
+    EXPECT_EQ(json.find("\"available\""), std::string::npos);
+    EXPECT_EQ(json.find("modeled_over_measured"), std::string::npos);
+
+    std::ostringstream console;
+    printAuditReport(r, console);
+    EXPECT_EQ(console.str().find("model validation"), std::string::npos);
+}
+
 TEST(AuditJsonTest, NonAsciiModelNameIsEscaped)
 {
     // The model name is read from the file, so it can hold any byte;
