@@ -18,6 +18,13 @@
  * Tier-to-tier speedup here is the microscopic view of the end-to-end
  * numbers perfbench/ measures.
  *
+ * Each tier also gets an `fma_peak` row: independent fused
+ * multiply-adds held in registers at the tier's vector width (scalar
+ * for generic, in the same fma clone its lutDot runs), the throughput
+ * ceiling of lutDot's one FMA per (index, token). Each lut_dot row's
+ * `% peak` is its GFLOP/s over its tier's fma_peak, how close the
+ * kernel runs to that ceiling without reading hardware counters.
+ *
  * Every lut_dot cell's sums must equal the generic tier's bit for bit
  * (kernels.hh contract); the program exits 1 if any differ.
  *
@@ -25,11 +32,19 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "kernels/kernels.hh"
 #include "util/bitstream.hh"
@@ -112,6 +127,97 @@ timeLutDot(const KernelSet &kn, const std::vector<std::uint8_t> &packed,
     return timer.seconds();
 }
 
+/** Independent FMA chains per fma_peak loop: enough to cover the FMA
+ * latency on every port of current x86 cores. */
+constexpr std::size_t kPeakChains = 8;
+
+/** An empty asm that pins `v` to its own register: no SLP
+ * vectorization merges the scalar chains. */
+inline void
+keepScalar(float &v)
+{
+#if defined(__x86_64__)
+    asm("" : "+x"(v));
+#else
+    asm("" : "+g"(v));
+#endif
+}
+
+/** `iters` rounds of one scalar fma on each of kPeakChains chains. */
+template <std::size_t... J>
+inline float
+fmaChainsScalar(std::size_t iters, std::index_sequence<J...>)
+{
+    float acc[] = {static_cast<float>(J)...};
+    for (std::size_t i = 0; i < iters; ++i)
+        ((acc[J] = std::fma(acc[J], 0.999f, 1e-3f), keepScalar(acc[J])),
+         ...);
+    return (acc[J] + ...);
+}
+
+/** The generic tier's ceiling, cloned like its lutDot: one vfmadd per
+ * chain and round on FMA CPUs, a libm fmaf call elsewhere. */
+#if defined(__x86_64__)
+__attribute__((target_clones("fma", "default"), flatten))
+#endif
+float
+fmaPeakGeneric(std::size_t iters)
+{
+    return fmaChainsScalar(iters, std::make_index_sequence<kPeakChains>{});
+}
+
+#if defined(__x86_64__)
+template <std::size_t... J>
+__attribute__((target("avx2,fma"))) float
+fmaPeakAvx2(std::size_t iters, std::index_sequence<J...>)
+{
+    __m256 acc[] = {_mm256_set1_ps(static_cast<float>(J))...};
+    const __m256 m = _mm256_set1_ps(0.999f), c = _mm256_set1_ps(1e-3f);
+    for (std::size_t i = 0; i < iters; ++i)
+        ((acc[J] = _mm256_fmadd_ps(acc[J], m, c)), ...);
+    return (_mm256_cvtss_f32(acc[J]) + ...);
+}
+
+template <std::size_t... J>
+__attribute__((target("avx512f"))) float
+fmaPeakAvx512(std::size_t iters, std::index_sequence<J...>)
+{
+    __m512 acc[] = {_mm512_set1_ps(static_cast<float>(J))...};
+    const __m512 m = _mm512_set1_ps(0.999f), c = _mm512_set1_ps(1e-3f);
+    for (std::size_t i = 0; i < iters; ++i)
+        ((acc[J] = _mm512_fmadd_ps(acc[J], m, c)), ...);
+    return (_mm512_cvtss_f32(acc[J]) + ...);
+}
+#endif
+
+/**
+ * GFLOP/s of `tier`'s fma_peak loop: kPeakChains independent FMAs of
+ * the tier's vector width per round, 2 flops per lane.
+ */
+double
+fmaPeakGflops(const KernelSet &tier, std::size_t iters)
+{
+    std::string_view name = tier.name;
+    std::size_t lanes = 1;
+    float (*run)(std::size_t) = fmaPeakGeneric;
+#if defined(__x86_64__)
+    using Chains = std::make_index_sequence<kPeakChains>;
+    if (name == "avx2") {
+        lanes = 8;
+        run = [](std::size_t n) { return fmaPeakAvx2(n, Chains{}); };
+    } else if (name == "avx512") {
+        lanes = 16;
+        run = [](std::size_t n) { return fmaPeakAvx512(n, Chains{}); };
+    }
+#endif
+    sink(run(iters / 16)); // warm-up
+    WallTimer timer;
+    sink(run(iters));
+    double secs = timer.seconds();
+    return 2.0 * static_cast<double>(lanes * kPeakChains)
+           * static_cast<double>(iters) / secs / 1e9;
+}
+
 double
 timeDecode(const KernelSet &kn, const std::vector<std::uint8_t> &packed,
            std::uint32_t bits, std::size_t n,
@@ -184,8 +290,12 @@ main(int argc, char **argv)
     std::size_t mismatches = 0;
     std::vector<Result> results;
 
+    std::map<std::string, double> peak;
     for (const KernelSet *t : tiers) {
         const KernelSet &kn = *t;
+        peak[kn.name] = fmaPeakGflops(kn, reps * 1000);
+        results.push_back({"fma_peak", kn.name, 0, kPeakChains, 0, 0.0,
+                           peak[kn.name]});
         {
             double secs = timeDot(kn, a, b, reps);
             double calls = static_cast<double>(reps);
@@ -247,8 +357,8 @@ main(int argc, char **argv)
                     }
                     double calls = static_cast<double>(n_calls);
                     // Streams the packed index rows once and every
-                    // token's activation row; one mul + one add per
-                    // (index, token).
+                    // token's activation row; one fused multiply-add,
+                    // 2 flops, per (index, token).
                     double bytes =
                         calls
                         * (static_cast<double>(packed.size())
@@ -288,15 +398,19 @@ main(int argc, char **argv)
         }
     }
 
-    ConsoleTable table(
-        {"Kernel", "Tier", "B", "N", "Seq", "GB/s", "GFLOP/s"});
+    ConsoleTable table({"Kernel", "Tier", "B", "N", "Seq", "GB/s",
+                        "GFLOP/s", "% peak"});
     for (const auto &r : results)
         table.addRow({r.kernel, r.tier,
                       r.bits ? std::to_string(r.bits) : "-",
                       std::to_string(r.n),
                       r.seq ? std::to_string(r.seq) : "-",
                       ConsoleTable::num(r.gbPerSec, 2),
-                      ConsoleTable::num(r.gflopPerSec, 2)});
+                      ConsoleTable::num(r.gflopPerSec, 2),
+                      r.kernel == "lut_dot"
+                          ? ConsoleTable::num(
+                              100.0 * r.gflopPerSec / peak[r.tier], 1)
+                          : "-"});
     table.print(std::cout);
 
     return mismatches == 0 ? 0 : 1;

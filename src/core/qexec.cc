@@ -104,8 +104,8 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     std::size_t n_tasks = rblocks * tblocks;
     std::size_t rblock = (out + rblocks - 1) / rblocks;
     std::size_t tblock = (tile_units + tblocks - 1) / tblocks;
-    // Grain hint: one multiply and one add per weight per token, split
-    // evenly across the grid.
+    // Grain hint: one fused multiply-add (2 flops) per weight per
+    // token, split evenly across the grid.
     std::size_t task_cost = 2 * seq * in * out / n_tasks + 1;
 
     const std::uint8_t *packed = weights.packedIndexes.data();

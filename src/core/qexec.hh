@@ -104,8 +104,8 @@ class QuantizedLinear
      * at this sequence length (bucket adds, one multiply per centroid,
      * one MAC per outlier): GOBO's hardware model, which memsim and
      * `gobo audit` report. It is not what lutDot executes on a CPU,
-     * which is one multiply and one add per weight and token (the
-     * count denseOpCounts gives).
+     * which is one fused multiply-add per weight and token (the
+     * multiplies and adds denseOpCounts counts).
      */
     OpCounts opCounts(std::size_t seq) const;
 

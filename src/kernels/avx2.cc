@@ -12,9 +12,10 @@
  *
  * lutDot is different: it keeps the kernels.hh numeric contract
  * exactly — the 16 partial sums live in two ymm (lanes i mod 16 in
- * 0..7 and 8..15), products are rounded before the add (deliberately
- * NOT fmadd), and centroid lookup is an exact vpermps or gather — so
- * the quantized FC output is bit-identical to the generic tier. It
+ * 0..7 and 8..15), each product is fused into its lane with one
+ * vfmadd (correctly rounded, like the scalar std::fma of the other
+ * tiers), and centroid lookup is an exact vpermps or gather — so the
+ * quantized FC output is bit-identical to the generic tier. It
  * expands the packed indexes in registers (lutBlockAvx2), with the
  * scalar helpers of kernels/packed.hh at the end of the stream and in
  * the in % 16 tail.
@@ -374,7 +375,7 @@ unrolled(F &&f)
 
 /**
  * lutDot for one row against NT tokens at once: each 16-index group is
- * expanded and looked up once and multiplied into every token's two
+ * expanded and looked up once and fused into every token's two
  * accumulators.
  *
  * Expansion in registers, for B <= 7 or a byte-aligned B = 8: the 8
@@ -428,10 +429,8 @@ lutBlockAvx2(const std::uint8_t *bytes, std::size_t byteLen,
         __m256 w1 = expand(row + 2 * bits * g + bits);
         unrolled<NT>([&](auto t) {
             const float *xs = x + t * ldx + 16 * g;
-            acc0[t] = _mm256_add_ps(
-                acc0[t], _mm256_mul_ps(w0, _mm256_loadu_ps(xs)));
-            acc1[t] = _mm256_add_ps(
-                acc1[t], _mm256_mul_ps(w1, _mm256_loadu_ps(xs + 8)));
+            acc0[t] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(xs), acc0[t]);
+            acc1[t] = _mm256_fmadd_ps(w1, _mm256_loadu_ps(xs + 8), acc1[t]);
         });
     }
     alignas(32) float p[NT * 16];

@@ -11,14 +11,15 @@
  * bits with mask-register blends for the special cases.
  *
  * lutDot keeps the kernels.hh numeric contract exactly: the 16
- * partial sums are one zmm, products are rounded before the add
- * (deliberately NOT fmadd), and centroid lookup is an exact vpermps
- * (B <= 4), vpermi2ps (B = 5) or gather (B >= 6) — so the quantized
- * FC output is bit-identical to the generic tier. A call takes up to
- * 16 tokens (KernelSet::seqTile) and runs them through one register
- * micro-tile of up to four rows x four tokens: each looked-up weight
- * vector feeds four tokens and each loaded activation vector four
- * rows.
+ * partial sums are one zmm, each weight-token product is fused into
+ * its lane with one vfmadd (correctly rounded, like the scalar
+ * std::fma of the other tiers), and centroid lookup is an exact
+ * vpermps (B <= 4), vpermi2ps (B = 5) or gather (B >= 6) — so the
+ * quantized FC output is bit-identical to the generic tier. A call
+ * takes up to 16 tokens (KernelSet::seqTile) and runs them through one
+ * register micro-tile of up to four rows x four tokens: each looked-up
+ * weight vector feeds four tokens and each loaded activation vector
+ * four rows.
  *
  * lutDot reads the packed index stream itself and expands each row's
  * 16-index group in registers (lutBlockAvx512): with AVX-512 VBMI and
@@ -439,7 +440,7 @@ multishiftBroadcast(__m512i ctrl, const std::uint8_t *p)
 /**
  * lutDot for R rows x NT tokens at once, rows starting at bit0, bit0 +
  * in * bits, ..: each row's 16-index group is expanded in registers
- * and looked up once, then multiplied into every token's accumulator,
+ * and looked up once, then fused into every token's accumulator,
  * and each token's activation vector is loaded once for all R rows.
  * Row r's sums go to sums[r * sstride + t].
  *
@@ -519,8 +520,7 @@ lutBlockAvx512(const std::uint8_t *bytes, std::size_t byteLen,
         unrolled<NT>([&](auto t) {
             __m512 xv = _mm512_loadu_ps(x + t * ldx + 16 * g);
             unrolled<R>([&](auto r) {
-                acc[r][t] =
-                    _mm512_add_ps(acc[r][t], _mm512_mul_ps(w[r], xv));
+                acc[r][t] = _mm512_fmadd_ps(w[r], xv, acc[r][t]);
             });
         });
     }

@@ -90,6 +90,14 @@ tanhRowGeneric(float *row, std::size_t n)
         row[i] = std::tanh(row[i]);
 }
 
+// Baseline x86-64 has no FMA instruction, so lutFinish's std::fma is a
+// libm call there. An fma clone, picked at load time on CPUs that have
+// it, makes it one vfmadd; `flatten` inlines lutFinish into each clone
+// (out of line it would stay the default-target copy). The default
+// clone is correct, only slower. Other targets have a native fma.
+#if defined(__x86_64__)
+__attribute__((target_clones("fma", "default"), flatten))
+#endif
 void
 lutDotGeneric(const std::uint8_t *bytes, std::size_t byteLen,
               std::size_t bitOffset, std::uint32_t bits, std::size_t rows,

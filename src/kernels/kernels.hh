@@ -10,11 +10,13 @@
  *
  *   generic  scalar loops with exactly the pre-SIMD reduction order
  *            for the dense/row kernels, and the lookup contract below
- *            spelled out one lane at a time.
+ *            spelled out one lane at a time with std::fma (an fma
+ *            clone on x86-64 CPUs that have FMA).
  *   avx2     AVX2+FMA vectorized kernels. The dense and row kernels
  *            reassociate float reductions (and fuse multiply-adds), so
  *            they match generic only to tolerance; lutDot keeps its
- *            16 partial sums in two ymm and stays bit-identical.
+ *            16 partial sums in two ymm, fuses each step like every
+ *            tier, and stays bit-identical.
  *   avx512   AVX-512 F+BW+DQ+VL kernels: 16-wide dense/row kernels
  *            with masked tails and a one-zmm lutDot, which expands
  *            each 16-index group with one vpmultishiftqb when the CPU
@@ -28,8 +30,9 @@
  *
  * Determinism contract (DESIGN.md §11): thread counts are
  * bit-identical *within* a tier; across tiers, quantized FC outputs
- * are bit-identical (lutDot has one numeric contract, and centroid
- * lookup is exact) while dense ops carry tolerance-level differences.
+ * are bit-identical (lutDot has one numeric contract of correctly
+ * rounded fused multiply-adds, and centroid lookup is exact) while
+ * dense ops carry tolerance-level differences.
  * Index expansion and row decode produce exact integers (a pure
  * function of the packed stream), so every tier's expander and
  * decoder is interchangeable. NaN and Inf propagate through every kernel in
@@ -110,14 +113,15 @@ struct KernelSet
      * read. For each (row r, token s) with row indexes idx[0..in),
      * sums[r * seq + s] is
      *
-     *   p[0..15] = +0;  p[i mod 16] = p[i mod 16] + table[idx[i]] * x[i]
-     *                   for i = 0, 1, .., in-1   (fp32, multiply then
-     *                   add, never fused; lanes past the last i stay
-     *                   untouched)
+     *   p[0..15] = +0;  p[i mod 16] = fma(table[idx[i]], x[i], p[i mod 16])
+     *                   for i = 0, 1, .., in-1   (fp32, product and
+     *                   add fused, one rounding; lanes past the last
+     *                   i stay untouched)
      *   l += l+8, then l += l+4, l += l+2, l += l+1 over p; sum = p[0]
      *
-     * Every tier computes exactly these bits. Tiers differ only in
-     * how they expand and look the indexes up (always exact) and in
+     * fma is correctly rounded (IEEE 754), so every tier computes
+     * exactly these bits, with vfmadd or std::fma. Tiers differ only
+     * in how they expand and look the indexes up (always exact) and in
      * how many rows and tokens share one register micro-tile.
      */
     void (*lutDot)(const std::uint8_t *bytes, std::size_t byteLen,

@@ -10,8 +10,10 @@
  * Internal to src/kernels. The functions are `static` so each tier's
  * TU compiles its own copy under its own target flags (an inline
  * function shared across TUs could resolve to the AVX-512 copy on a
- * CPU without it). Every kernel TU is built with -ffp-contract=off, so
- * lutFinish multiplies then adds, as the contract requires.
+ * CPU without it). lutFinish accumulates with std::fma, as the
+ * contract requires: one vfmadd in the SIMD tiers' TUs and in the
+ * generic tier's fma clone, a libm call elsewhere — correctly rounded
+ * either way, so every copy computes the same bits.
  */
 
 #ifndef GOBO_KERNELS_PACKED_HH
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -121,7 +124,7 @@ wideGroups(std::size_t byteLen, std::size_t bit0, std::size_t rows,
  * The lutDot contract in scalar code from index `i` (a multiple of 16)
  * on: `rows` rows from bit0 against `nt` tokens at x + t * ldx,
  * continuing the 16 partial sums p[(r * nt + t) * kLutLanes + lane]
- * (p[i mod 16] += table * x, lanes past `in` untouched), then the
+ * (p[i mod 16] = fma(table, x, p), lanes past `in` untouched), then the
  * halving tree into sums[r * sstride + t]. Indexes are expanded 64 at
  * a time and serve every token. The generic tier runs all of it from
  * i = 0.
@@ -149,9 +152,10 @@ lutFinish(float *__restrict p, std::size_t rows, std::size_t nt,
                 std::size_t q = 0;
                 for (; q + kLutLanes <= n; q += kLutLanes)
                     for (std::size_t l = 0; l < kLutLanes; ++l)
-                        acc[l] = acc[l] + table[idx[q + l]] * xs[q + l];
+                        acc[l] = std::fma(table[idx[q + l]], xs[q + l],
+                                          acc[l]);
                 for (std::size_t l = 0; q + l < n; ++l)
-                    acc[l] = acc[l] + table[idx[q + l]] * xs[q + l];
+                    acc[l] = std::fma(table[idx[q + l]], xs[q + l], acc[l]);
                 std::memcpy(p + (r * nt + t) * kLutLanes, acc, sizeof acc);
             }
         }

@@ -167,18 +167,21 @@ scalarReference(const QuantizedTensor &qt, const Tensor &bias,
 
 /**
  * The lutDot contract of kernels.hh for one token, spelled out: 16
- * fp32 partial sums over i mod 16 (product rounded, then added), then
- * the fixed halving tree.
+ * fp32 partial sums over i mod 16 (product and add fused, one
+ * rounding), then the fixed halving tree. Cloned like the generic
+ * lutDot, so std::fma is one instruction on FMA hosts instead of a
+ * libm call (the paper-width test runs ~6e8 of them).
  */
+#if defined(__x86_64__)
+__attribute__((target_clones("fma", "default")))
+#endif
 float
 contractSum(const std::uint8_t *idx, std::size_t in, const float *table,
             const float *x)
 {
     float p[16] = {};
-    for (std::size_t i = 0; i < in; ++i) {
-        float prod = table[idx[i]] * x[i];
-        p[i % 16] = p[i % 16] + prod;
-    }
+    for (std::size_t i = 0; i < in; ++i)
+        p[i % 16] = std::fma(table[idx[i]], x[i], p[i % 16]);
     for (std::size_t half = 8; half > 0; half /= 2)
         for (std::size_t l = 0; l < half; ++l)
             p[l] = p[l] + p[l + half];
@@ -392,9 +395,9 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
                              tierCtx(genericKernels()));
     Tensor logits = session.headLogits(g.tokens);
     ASSERT_EQ(logits.size(), 3u);
-    EXPECT_EQ(logits(0), 0x1.6a7ea6p-1f);
-    EXPECT_EQ(logits(1), -0x1.a3e53ep+0f);
-    EXPECT_EQ(logits(2), 0x1.343e1ap+1f);
+    EXPECT_EQ(logits(0), 0x1.6a7eacp-1f);
+    EXPECT_EQ(logits(1), -0x1.a3e542p+0f);
+    EXPECT_EQ(logits(2), 0x1.343e1cp+1f);
 }
 
 // ---------------------------------------------------------------------
@@ -703,6 +706,40 @@ TEST(LutKernels, BlockingAndTableSizeInvariant)
             }
         }
     }
+}
+
+TEST(LutKernels, ContractFusesMultiplyAdd)
+{
+    // Lane 0 holds -(1 + 2^-11) after i = 0; i = 16 then adds
+    // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24. Fused, the 2^-24 survives;
+    // rounding the product first drops it (a tie to even) and leaves 0.
+    // The stream is run once at its exact length (the scalar tail on
+    // every tier) and once padded, so the SIMD tiers' wide loads reach
+    // both groups.
+    constexpr std::size_t in = 32, kSeq = 4;
+    const float table[] = {-1.0f, 1.0f + 0x1p-12f};
+    std::vector<std::uint8_t> idx(in, 0);
+    idx[16] = 1;
+    std::vector<float> x(kSeq * in, 0.0f);
+    for (std::size_t s = 0; s < kSeq; ++s) {
+        x[s * in] = 1.0f + 0x1p-11f;
+        x[s * in + 16] = 1.0f + 0x1p-12f;
+    }
+    ASSERT_EQ(contractSum(idx.data(), in, table, x.data()), 0x1p-24f);
+    auto stream = packStream(idx, 1);
+    const std::size_t exact = stream.size();
+    stream.resize(64, 0);
+    for (const KernelSet *tier : allTiers())
+        for (std::size_t len : {exact, stream.size()})
+            for (std::size_t seq : {std::size_t{1}, kSeq}) {
+                std::vector<float> sums(seq, kNan);
+                tier->lutDot(stream.data(), len, 0, 1, 1, in, table, 2,
+                             x.data(), in, seq, sums.data());
+                for (std::size_t s = 0; s < seq; ++s)
+                    EXPECT_EQ(sums[s], 0x1p-24f)
+                        << tier->name << " byteLen=" << len
+                        << " seq=" << seq << " s=" << s;
+            }
 }
 
 // ---------------------------------------------------------------------

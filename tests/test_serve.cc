@@ -598,7 +598,7 @@ TEST(Serve, GoldenTraceMatchesCommittedBaseline)
     expectRel(sum.queueWaitP95Us, 152452.8789, "queue wait p95");
     expectRel(sum.queueWaitP99Us, 157282.0312, "queue wait p99");
 
-    EXPECT_EQ(sum.responseChecksum, 0xe20da9a2962f43cfULL);
+    EXPECT_EQ(sum.responseChecksum, 0x222885aa6566de3fULL);
 }
 
 TEST(Serve, JsonReportIsWellFormed)

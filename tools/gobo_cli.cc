@@ -136,7 +136,9 @@ usage(const char *msg = nullptr)
 /**
  * Flat flag parser: positional args plus --key value pairs. Only the
  * command's `known` flags are accepted — any other --flag is a usage
- * error naming it, so a typo never silently runs with a default.
+ * error naming it, so a typo never silently runs with a default — and
+ * at most `files` positional args; one past them (`infer m.gobm 4` for
+ * `--threads 4`) is a usage error naming it too.
  * `--metrics` is the one boolean switch and consumes no value.
  */
 struct Args
@@ -146,7 +148,7 @@ struct Args
 
     static Args
     parse(int argc, char **argv, int first, const char *cmd,
-          const std::vector<std::string_view> &known)
+          const std::vector<std::string_view> &known, std::size_t files)
     {
         Args a;
         for (int i = first; i < argc; ++i) {
@@ -164,6 +166,9 @@ struct Args
                     usage(("missing value for " + arg).c_str());
                 a.flags[key] = argv[++i];
             } else {
+                if (a.positional.size() == files)
+                    usage(("unexpected argument " + arg + " for " + cmd)
+                              .c_str());
                 a.positional.push_back(arg);
             }
         }
@@ -746,35 +751,41 @@ cmdKernels(const Args &)
     return 0;
 }
 
-/** One subcommand: its entry point and every --flag it reads. */
+/** One subcommand: its entry point, the positional files it takes
+ * (0 or 1) and every --flag it reads. */
 struct Command
 {
     const char *name;
     int (*run)(const Args &);
+    std::size_t files;
     std::vector<std::string_view> flags;
 };
 
 const Command kCommands[] = {
-    {"generate", cmdGenerate, {"family", "scale", "seed", "out"}},
+    {"generate", cmdGenerate, 0, {"family", "scale", "seed", "out"}},
     {"compress",
      cmdCompress,
+     1,
      {"out", "bits", "embedding-bits", "method", "threshold", "threads"}},
-    {"decompress", cmdDecompress, {"out"}},
-    {"inspect", cmdInspect, {}},
+    {"decompress", cmdDecompress, 1, {"out"}},
+    {"inspect", cmdInspect, 1, {}},
     {"infer",
      cmdInfer,
+     1,
      {"batch", "seq-len", "threads", "kernel", "engine", "seed", "trace",
       "metrics", "metrics-json"}},
     {"audit",
      cmdAudit,
+     1,
      {"bits", "embedding-bits", "method", "threshold", "sequences",
       "seq-len", "seed", "json"}},
     {"serve",
      cmdServe,
+     1,
      {"trace", "threads", "kernel", "engine", "max-queue",
       "flush-deadline-us", "deadline-us", "band-width", "service-rate",
       "json", "metrics", "metrics-json", "trace-out"}},
-    {"kernels", cmdKernels, {}},
+    {"kernels", cmdKernels, 0, {}},
 };
 
 } // namespace
@@ -791,7 +802,8 @@ main(int argc, char **argv)
             command = &c;
     if (!command)
         usage(("unknown command: " + cmd).c_str());
-    Args args = Args::parse(argc, argv, 2, command->name, command->flags);
+    Args args = Args::parse(argc, argv, 2, command->name, command->flags,
+                            command->files);
     try {
         return command->run(args);
     } catch (const gobo::FatalError &e) {
